@@ -152,41 +152,6 @@ func BenchmarkSweep(b *testing.B) {
 
 // --- Ablation benches (DESIGN.md) ---
 
-// BenchmarkAblationDelayBoxPerEvent compares the two DelayShell queue
-// implementations: per-packet event scheduling (DelayBox) versus a single
-// armed timer over a FIFO (FIFODelayBox, Mahimahi's structure).
-func BenchmarkAblationDelayBoxPerEvent(b *testing.B) {
-	benchDelayImpl(b, func(loop *sim.Loop) netem.Box {
-		return netem.NewDelayBox(loop, 10*sim.Millisecond)
-	})
-}
-
-func BenchmarkAblationDelayBoxFIFO(b *testing.B) {
-	benchDelayImpl(b, func(loop *sim.Loop) netem.Box {
-		return netem.NewFIFODelayBox(loop, 10*sim.Millisecond)
-	})
-}
-
-func benchDelayImpl(b *testing.B, mk func(*sim.Loop) netem.Box) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		loop := sim.NewLoop()
-		box := mk(loop)
-		delivered := 0
-		box.SetSink(func(*netem.Packet) { delivered++ })
-		for j := 0; j < 1000; j++ {
-			j := j
-			loop.Schedule(sim.Time(j)*sim.Microsecond, func(sim.Time) {
-				box.Send(&netem.Packet{Size: netem.MTU})
-			})
-		}
-		loop.Run()
-		if delivered != 1000 {
-			b.Fatalf("delivered %d", delivered)
-		}
-	}
-}
-
 // BenchmarkAblationMatcherExactOnly vs full: cost and hit rate of the
 // Mahimahi query-prefix matching rule versus exact-only matching, on a
 // workload whose queries carry cache-buster tokens.
@@ -442,29 +407,27 @@ func BenchmarkPageLoad(b *testing.B) {
 // timer/CPU-task shape) — then firing exactly those 64. One op is
 // therefore 64 schedule+fire round trips including clock advances, and
 // ns/event (reported via ReportMetric) is the comparable per-event cost:
-// elapsed / (64 * N). Compare ns/event across -sched ablations and PRs,
-// not ns/op, which also absorbs loop-warmup effects.
+// elapsed / (64 * N). Compare ns/event across PRs, not ns/op, which also
+// absorbs loop-warmup effects.
 func BenchmarkLoopSchedule(b *testing.B) {
-	for _, kind := range []sim.SchedulerKind{sim.SchedWheel, sim.SchedHeap} {
-		b.Run(kind.String(), func(b *testing.B) {
-			benchLoopSchedule(b, kind, 1200, 100)
-		})
-	}
+	b.Run("wheel", func(b *testing.B) {
+		benchLoopSchedule(b, 1200, 100)
+	})
 	// The many-flow regime: a 10k-flow contention cell keeps an order of
 	// magnitude more timers and in-flight packets queued than a single page
 	// load. ns/event here versus the wheel row above is the "flat at depth"
 	// check — the calendar queue's per-event cost must not grow with the
 	// standing population.
 	b.Run("wheel-standing12k", func(b *testing.B) {
-		benchLoopSchedule(b, sim.SchedWheel, 12000, 1000)
+		benchLoopSchedule(b, 12000, 1000)
 	})
 }
 
 // benchLoopSchedule runs the schedule+fire workload described above against
 // a loop pre-loaded with a standing population of future events spread over
 // the given number of distinct timestamps.
-func benchLoopSchedule(b *testing.B, kind sim.SchedulerKind, standing, spread int) {
-	loop := sim.NewLoopSched(kind)
+func benchLoopSchedule(b *testing.B, standing, spread int) {
+	loop := sim.NewLoop()
 	h := func(sim.Time) {}
 	// Standing population at far-future deadlines: present in the
 	// queue for every measured operation, never fired.
@@ -582,10 +545,8 @@ func BenchmarkContention(b *testing.B) {
 // BenchmarkEngine measures the two-level scheduler itself on a synthetic
 // power-law workload: 32 cells whose event counts span ~30x — the
 // adversarial shape for static hash placement, where one heavy cell can
-// hold a whole run hostage. The steal rows run the default scheduler (a
-// cold run primes the cost oracle, so measured iterations plan LPT and
-// steal at runtime); the affinity rows pin cells to their hash shard. The
-// planskew/postskew metrics report event imbalance before and after
+// hold a whole run hostage. A cold run primes the cost oracle, so measured
+// iterations plan LPT and steal at runtime. The planskew/postskew metrics report event imbalance before and after
 // stealing — the machine-independent evidence that the scheduler levels
 // the load even where wall clock ties (single-core hosts).
 func BenchmarkEngine(b *testing.B) {
@@ -596,34 +557,29 @@ func BenchmarkEngine(b *testing.B) {
 		cells[i] = fmt.Sprintf("skew/%d", i)
 		weights[i] = 2000 / (i + 1) // power law: 2000, 1000, 666, ..., 62
 	}
-	job := func(affinity bool) engine.Job {
-		return engine.Job{Cells: cells, Affinity: affinity, Run: func(sh *engine.Shard, cell int, label string) any {
-			loop := sh.Loop()
-			for k := 0; k < weights[cell]; k++ {
-				loop.Schedule(sim.Time(k)*sim.Microsecond, noop)
-			}
-			loop.Run()
-			return loop.Now()
-		}}
-	}
-	for _, mode := range []string{"steal", "affinity"} {
-		for _, shards := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%s-shards%d", mode, shards), func(b *testing.B) {
-				e := engine.New(shards)
-				j := job(mode == "affinity")
-				e.Run(j) // cold hash plan; primes the oracle for the steal rows
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					e.Run(j)
-				}
-				b.StopTimer()
-				p := e.Placement()
-				b.ReportMetric(p.PlannedEventSkew(), "planskew")
-				b.ReportMetric(p.EventSkew(), "postskew")
-				b.ReportMetric(float64(p.Steals()), "steals")
-			})
+	job := engine.Job{Cells: cells, Run: func(sh *engine.Shard, cell int, label string) any {
+		loop := sh.Loop()
+		for k := 0; k < weights[cell]; k++ {
+			loop.Schedule(sim.Time(k)*sim.Microsecond, noop)
 		}
+		loop.Run()
+		return loop.Now()
+	}}
+	for _, shards := range []int{1, 4} {
+		b.Run(fmt.Sprintf("steal-shards%d", shards), func(b *testing.B) {
+			e := engine.New(shards)
+			e.Run(job) // cold hash plan; primes the oracle
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Run(job)
+			}
+			b.StopTimer()
+			p := e.Placement()
+			b.ReportMetric(p.PlannedEventSkew(), "planskew")
+			b.ReportMetric(p.EventSkew(), "postskew")
+			b.ReportMetric(float64(p.Steals()), "steals")
+		})
 	}
 }
 

@@ -17,7 +17,14 @@
 // Every experiment runs through the parallel scenario-matrix engine
 // (internal/experiments): -parallel N fans the site x shell-stack x seed
 // cells across N workers, and per-cell seeds are derived from cell
-// coordinates, so output is byte-identical at every N.
+// coordinates, so output is byte-identical at every N. The many-flow
+// experiments (contention, dynamics, scaling) run on the sharded engine
+// instead, where -shards sets the lane count and work stealing rebalances
+// cells without moving a byte.
+//
+// -schedstats writes event-queue occupancy aggregated over every
+// simulation loop in the run: queue depth, the now-queue fast path and
+// the share of future events that joined an existing same-deadline run.
 package main
 
 import (
@@ -49,25 +56,15 @@ func main() {
 	flows := flag.Int("flows", 0, "contention: flows per cell (0 = default 96)")
 	shards := flag.Int("shards", 0, "contention/dynamics: engine shards (0 = default 1, -1 = GOMAXPROCS); output is identical at any value")
 	mix := flag.String("mix", "", "contention: web:bulk:rpc flow ratio (default 6:1:3)")
-	affinity := flag.Bool("affinity", false, "contention/dynamics/scaling: pin cells to their hash shard and disable work stealing")
 	reps := flag.Int("reps", 0, "scaling: repetitions per arm, oracle-primed after the first (0 = default 3)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile taken after the run to this file")
-	sched := flag.String("sched", "wheel", "event scheduler: wheel (calendar queue of same-deadline runs) or heap (binary min-heap ablation); output is identical under both")
 	schedstats := flag.String("schedstats", "", "write event-queue depth/occupancy counters aggregated over the run to this file")
 	flag.Parse()
 
-	switch *sched {
-	case "wheel":
-		sim.SetDefaultScheduler(sim.SchedWheel)
-	case "heap":
-		sim.SetDefaultScheduler(sim.SchedHeap)
-	default:
-		fatalf("mm-bench: unknown -sched %q (want wheel|heap)", *sched)
-	}
 	if *schedstats != "" {
 		sim.EnableSchedStats(true)
-		defer writeSchedStats(*schedstats, *sched)
+		defer writeSchedStats(*schedstats)
 	}
 
 	if *cpuprofile != "" {
@@ -195,7 +192,6 @@ func main() {
 			}
 			cfg.Mix = m
 		}
-		cfg.Affinity = *affinity
 		res := experiments.Contention(cfg)
 		fmt.Println(res)
 		// The placement report depends on the shard count, so it prints
@@ -208,7 +204,6 @@ func main() {
 		if *shards != 0 {
 			cfg.Shards = *shards // -1 maps to <=0: engine.New uses GOMAXPROCS
 		}
-		cfg.Affinity = *affinity
 		res := experiments.Dynamics(cfg)
 		fmt.Println(res)
 		fmt.Println(res.Placement)
@@ -232,7 +227,6 @@ func main() {
 		if *reps > 0 {
 			cfg.Reps = *reps
 		}
-		cfg.Affinity = *affinity
 		res := experiments.Scaling(cfg)
 		fmt.Println(res)
 		if !res.ArtifactsMatch {
@@ -314,10 +308,10 @@ func fatalf(format string, args ...any) {
 
 // writeSchedStats renders the aggregated event-queue counters collected
 // across every simulation loop in the run (-schedstats). The clustering
-// ratio is the figure that grounds the scheduler choice: the fraction of
+// ratio is the figure that grounds the scheduler's design: the fraction of
 // future events that found an existing timestamp bucket and scheduled in
-// O(1) rather than paying a heap operation.
-func writeSchedStats(path, sched string) {
+// O(1) rather than paying a run-heap operation.
+func writeSchedStats(path string) {
 	c, loops := sim.SchedStatsSnapshot()
 	f, err := os.Create(path)
 	if err != nil {
@@ -332,7 +326,6 @@ func writeSchedStats(path, sched string) {
 		}
 		return 100 * float64(n) / float64(d)
 	}
-	fmt.Fprintf(f, "scheduler: %s\n", sched)
 	fmt.Fprintf(f, "loops (drains):        %d\n", loops)
 	fmt.Fprintf(f, "events scheduled:      %d\n", c.Scheduled)
 	fmt.Fprintf(f, "events fired:          %d\n", c.Fired)
@@ -340,7 +333,6 @@ func writeSchedStats(path, sched string) {
 	fmt.Fprintf(f, "future events:         %d\n", future)
 	fmt.Fprintf(f, "  run joins (O(1)):    %d (%.1f%% clustering ratio)\n", c.BucketHit, pct(c.BucketHit, future))
 	fmt.Fprintf(f, "  run opens:           %d\n", c.BucketNew)
-	fmt.Fprintf(f, "  heap pushes:         %d\n", c.HeapPush)
 	fmt.Fprintf(f, "max queue depth:       %d\n", c.MaxPending)
 	fmt.Fprintf(f, "max concurrent runs:   %d\n", c.MaxBuckets)
 }

@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -73,12 +74,26 @@ func main() {
 		fatalf("mm-benchgate: need -baseline or -record")
 	}
 	base := readBaseline(*baseline)
+	if compare(os.Stdout, base.Benchmarks, measured, order, *tolerance, *allocTol) {
+		fmt.Printf("mm-benchgate: missing rows or regression beyond tolerance (ns/op %.0f%%, allocs/op %.0f%%) vs %s\n",
+			*tolerance, *allocTol, *baseline)
+		os.Exit(1)
+	}
+	fmt.Printf("mm-benchgate: all benchmarks within tolerance of %s\n", *baseline)
+}
+
+// compare reports every measured benchmark against its baseline row and
+// returns whether the gate fails: a measured row regressed beyond a
+// tolerance, or a baseline row was not measured at all (a deleted or
+// renamed benchmark must not drop out of the gate unnoticed). Measured
+// rows with no baseline are reported as new and do not fail.
+func compare(w io.Writer, base, measured map[string]baselineEntry, order []string, tolerance, allocTol float64) bool {
 	failed := false
 	for _, name := range order {
 		short := strings.TrimPrefix(name, "Benchmark")
-		b, ok := base.Benchmarks[name]
+		b, ok := base[name]
 		if !ok {
-			fmt.Printf("  new   %-40s %12.0f ns/op %8d allocs/op (no baseline)\n",
+			fmt.Fprintf(w, "  new   %-40s %12.0f ns/op %8d allocs/op (no baseline)\n",
 				short, measured[name].NsPerOp, measured[name].AllocsPerOp)
 			continue
 		}
@@ -86,23 +101,29 @@ func main() {
 		nsDelta := pctDelta(m.NsPerOp, b.NsPerOp)
 		allocDelta := pctDelta(float64(m.AllocsPerOp), float64(b.AllocsPerOp))
 		status := "ok"
-		if nsDelta > *tolerance {
+		if nsDelta > tolerance {
 			status = "FAIL ns/op"
 			failed = true
 		}
-		if allocDelta > *allocTol {
+		if allocDelta > allocTol {
 			status = "FAIL allocs/op"
 			failed = true
 		}
-		fmt.Printf("  %-5s %-40s ns/op %+7.1f%% (%.0f vs %.0f)  allocs/op %+6.1f%% (%d vs %d)\n",
+		fmt.Fprintf(w, "  %-5s %-40s ns/op %+7.1f%% (%.0f vs %.0f)  allocs/op %+6.1f%% (%d vs %d)\n",
 			status, short, nsDelta, m.NsPerOp, b.NsPerOp, allocDelta, m.AllocsPerOp, b.AllocsPerOp)
 	}
-	if failed {
-		fmt.Printf("mm-benchgate: regression beyond tolerance (ns/op %.0f%%, allocs/op %.0f%%) vs %s\n",
-			*tolerance, *allocTol, *baseline)
-		os.Exit(1)
+	var missing []string
+	for name := range base {
+		if _, ok := measured[name]; !ok {
+			missing = append(missing, name)
+		}
 	}
-	fmt.Printf("mm-benchgate: all benchmarks within tolerance of %s\n", *baseline)
+	sort.Strings(missing)
+	for _, name := range missing {
+		fmt.Fprintf(w, "  missing %-38s (baseline row not measured)\n", strings.TrimPrefix(name, "Benchmark"))
+		failed = true
+	}
+	return failed
 }
 
 // parseBench extracts per-benchmark result lists from a bench output file,

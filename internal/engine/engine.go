@@ -16,7 +16,7 @@
 // cell's result landing in its own slot of the output slice. Results
 // therefore merge order-free: an artifact assembled from the index-aligned
 // output is byte-identical at any shard count, which the determinism suite
-// verifies at 1, 2 and 8 shards under both schedulers.
+// verifies at 1, 2 and 8 shards.
 //
 // Placement is two-level. Level 1 plans: with a cost oracle (per-label event
 // counts retained from the engine's previous Run, or primed via Prime) the
@@ -27,8 +27,7 @@
 // with the most unclaimed weight. Because a cell's seed derives from its
 // label and never from the shard that happens to execute it, any steal
 // interleaving produces the identical output; stealing moves only wall-clock
-// time and pool warmth. Jobs that thread per-label state through a shard opt
-// out with Affinity, which restores strict ShardFor pinning.
+// time and pool warmth.
 package engine
 
 import (
@@ -73,6 +72,7 @@ func newShard(index int) *Shard {
 	return &Shard{
 		index:  index,
 		labels: pprof.Labels("shard", strconv.Itoa(index)),
+		loop:   sim.NewLoop(),
 		pools:  &nsim.PoolSet{},
 		segs:   &tcpsim.SegmentPool{},
 		conns:  tcpsim.NewConnPool(),
@@ -82,14 +82,8 @@ func newShard(index int) *Shard {
 // Index is the shard's position in its engine, 0-based.
 func (sh *Shard) Index() int { return sh.index }
 
-// Loop returns a reset, warmed event loop for the next cell, replacing it
-// only when the process-default scheduler kind changed since the last cell
-// (Reset would otherwise keep the stale kind alive across an ablation run).
+// Loop returns the shard's event loop, reset and warmed, for the next cell.
 func (sh *Shard) Loop() *sim.Loop {
-	if sh.loop == nil || sh.loop.Scheduler() != sim.DefaultScheduler() {
-		sh.loop = sim.NewLoop()
-		return sh.loop
-	}
 	sh.loop.Reset()
 	return sh.loop
 }
@@ -381,11 +375,10 @@ func (e *Engine) NumShards() int { return len(e.shards) }
 func (e *Engine) Shard(i int) *Shard { return e.shards[i] }
 
 // ShardFor maps a cell label to its owning shard: a consistent, timing-free
-// partition by hash of the label alone. Cells with the same label always
-// land on the same shard of an n-shard engine, so any per-label state a
-// workload threads through its shard stays shard-local; which shard that is
-// has no effect on results (each cell's seed derives from its label, not
-// its shard), only on which warmed pools serve it.
+// partition by hash of the label alone, used to plan cells while the cost
+// oracle is cold. Which shard a cell lands on has no effect on results
+// (each cell's seed derives from its label, not its shard), only on which
+// warmed pools serve it.
 func ShardFor(label string, n int) int {
 	return int(sim.DeriveSeed(0x51a4d, "shard", label) % uint64(n))
 }
@@ -401,20 +394,15 @@ type Job struct {
 	// Run executes one cell on sh. cell is the index into Cells and label
 	// is Cells[cell]. The returned value lands in slot cell of Run's output.
 	Run func(sh *Shard, cell int, label string) any
-	// Affinity pins every cell to ShardFor(label, n) and disables stealing,
-	// for workloads that thread per-label state through a specific shard.
-	// The default (false) lets the engine rebalance: LPT planning when the
-	// cost oracle is warm, plus runtime cell stealing.
-	Affinity bool
 }
 
 // Run executes the job and returns the results index-aligned with job.Cells.
 //
-// Cells are first planned onto shards: by ShardFor hash when job.Affinity is
-// set or the cost oracle is cold, by weight-aware LPT bin-packing otherwise.
-// Each shard's worker goroutine (pprof-labelled "shard=i") then drains its
-// own queue through an atomic cursor; unless job.Affinity is set, a worker
-// whose queue empties steals unclaimed cells from the most-loaded victim.
+// Cells are first planned onto shards: by ShardFor hash when the cost oracle
+// is cold, by weight-aware LPT bin-packing otherwise. Each shard's worker
+// goroutine (pprof-labelled "shard=i") then drains its own queue through an
+// atomic cursor, and a worker whose queue empties steals unclaimed cells
+// from the most-loaded victim.
 // Results land in index-aligned slots and every cell's behaviour is a pure
 // function of its label, so the output is byte-identical for every shard
 // count, plan and steal interleaving. The run's per-shard and per-cell load
@@ -428,19 +416,15 @@ func (e *Engine) Run(job Job) []any {
 		Cells:  make([]CellLoad, len(job.Cells)),
 	}
 	e.plan(job)
-	steal := !job.Affinity && n > 1
 	if n == 1 || len(job.Cells) == 0 {
-		e.runWorker(job, out, e.shards[0], false)
+		e.runWorker(job, out, e.shards[0])
 	} else {
 		var wg sync.WaitGroup
 		for s := range e.shards {
-			if !steal && len(e.queues[s].cells) == 0 {
-				continue
-			}
 			wg.Add(1)
 			go func(sh *Shard) {
 				defer wg.Done()
-				e.runWorker(job, out, sh, steal)
+				e.runWorker(job, out, sh)
 			}(e.shards[s])
 		}
 		wg.Wait()
@@ -464,10 +448,9 @@ func (e *Engine) Run(job Job) []any {
 }
 
 // plan fills the per-shard queues and the per-cell Planned slots. With a
-// warm oracle (and stealing allowed) it LPT bin-packs: cells sorted by
-// estimated weight descending, each placed on the currently lightest shard.
-// Affinity jobs and cold starts use the ShardFor hash, which preserves
-// label→shard pinning and index order within each shard.
+// warm oracle it LPT bin-packs: cells sorted by estimated weight
+// descending, each placed on the currently lightest shard. Cold starts use
+// the ShardFor hash, which keeps index order within each shard.
 func (e *Engine) plan(job Job) {
 	n := len(e.shards)
 	if len(e.queues) != n {
@@ -480,7 +463,7 @@ func (e *Engine) plan(job Job) {
 		q.cursor.Store(0)
 	}
 	wts, oracle := e.cellWeights(job)
-	if oracle && !job.Affinity {
+	if oracle {
 		// LPT: heaviest cell first onto the least-loaded shard. Ties break
 		// on the lower cell index / lower shard index, so the plan is a
 		// pure function of (labels, weights, n).
@@ -568,23 +551,18 @@ func (e *Engine) cellWeights(job Job) ([]uint64, bool) {
 	return wts, true
 }
 
-// runWorker drains shard sh's queue, then — when steal is set — other
-// shards' queues, one claimed cell at a time. The per-cell loads are
-// written to disjoint Placement.Cells slots, so workers never share a
-// counter; per-shard totals are folded after the join (a shared
-// ShardLoad row per claim would put every worker's hot stores on the same
-// cache lines).
-func (e *Engine) runWorker(job Job, out []any, sh *Shard, steal bool) {
+// runWorker drains shard sh's queue, then other shards' queues, one claimed
+// cell at a time. The per-cell loads are written to disjoint
+// Placement.Cells slots, so workers never share a counter; per-shard totals
+// are folded after the join (a shared ShardLoad row per claim would put
+// every worker's hot stores on the same cache lines).
+func (e *Engine) runWorker(job Job, out []any, sh *Shard) {
 	start := time.Now()
 	pprof.Do(context.Background(), sh.labels, func(context.Context) {
 		for {
 			ci := e.queues[sh.index].claim()
 			if ci < 0 {
-				if !steal {
-					break
-				}
-				ci = e.stealCell(sh.index)
-				if ci < 0 {
+				if ci = e.stealCell(sh.index); ci < 0 {
 					break
 				}
 			}
@@ -620,23 +598,11 @@ func (e *Engine) stealCell(self int) int {
 
 // runCell executes one claimed cell on sh and records its result and load.
 func (e *Engine) runCell(job Job, out []any, sh *Shard, ci int) {
-	// Event attribution must survive Shard.Loop replacing the loop mid-cell
-	// (scheduler-kind change): Fired accumulates across Reset but a fresh
-	// loop starts at zero, so the baseline only applies if the pointer is
-	// unchanged.
-	prevLoop := sh.loop
-	var base uint64
-	if prevLoop != nil {
-		base = prevLoop.Fired()
-	}
+	// Fired accumulates across Loop resets, so the cell's events are the
+	// growth over its run.
+	base := sh.loop.Fired()
 	out[ci] = job.Run(sh, ci, job.Cells[ci])
 	c := &e.placement.Cells[ci]
 	c.Ran = sh.index
-	if sh.loop != nil {
-		if sh.loop == prevLoop {
-			c.Events = sh.loop.Fired() - base
-		} else {
-			c.Events = sh.loop.Fired()
-		}
-	}
+	c.Events = sh.loop.Fired() - base
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/sim"
@@ -27,43 +28,34 @@ func TestShardForIsConsistentAndInRange(t *testing.T) {
 	}
 }
 
-func TestEngineAffinityRunIndexAlignedAndShardLocal(t *testing.T) {
+// TestEngineRunIndexAligned: with work stealing on, whichever shard runs a
+// cell, its result lands in the output slot of its index, and every cell
+// runs exactly once — cold (hash plan) and with a warm oracle (LPT plan).
+func TestEngineRunIndexAligned(t *testing.T) {
 	e := New(4)
 	cells := make([]string, 40)
 	for i := range cells {
 		cells[i] = fmt.Sprintf("c%02d", i)
 	}
-	// Affinity mode: strict ShardFor pinning, no stealing. Each shard
-	// appends the cells it ran to its own slice — one goroutine per shard,
-	// so no synchronization. Cells assigned to one shard must arrive in
-	// label-index order (run-to-completion, deterministic order).
-	perShard := make([][]int, 4)
-	out := e.Run(Job{Cells: cells, Affinity: true, Run: func(sh *Shard, cell int, label string) any {
-		if want := ShardFor(label, 4); sh.Index() != want {
-			t.Errorf("cell %q ran on shard %d, want %d", label, sh.Index(), want)
-		}
-		perShard[sh.Index()] = append(perShard[sh.Index()], cell)
-		return label + "!"
-	}})
-	for i, v := range out {
-		if v != cells[i]+"!" {
-			t.Fatalf("out[%d] = %v, want %q", i, v, cells[i]+"!")
-		}
-	}
-	for s, ran := range perShard {
-		for j := 1; j < len(ran); j++ {
-			if ran[j] <= ran[j-1] {
-				t.Fatalf("shard %d ran cells out of index order: %v", s, ran)
+	for _, pass := range []string{"cold", "warm"} {
+		ran := make([]int32, len(cells))
+		out := e.Run(Job{Cells: cells, Run: func(sh *Shard, cell int, label string) any {
+			atomic.AddInt32(&ran[cell], 1)
+			loop := sh.Loop()
+			loop.Schedule(sim.Time(cell)*sim.Millisecond, func(sim.Time) {})
+			loop.Run()
+			return label + "!"
+		}})
+		for i, v := range out {
+			if v != cells[i]+"!" {
+				t.Fatalf("%s: out[%d] = %v, want %q", pass, i, v, cells[i]+"!")
+			}
+			if ran[i] != 1 {
+				t.Fatalf("%s: cell %d ran %d times, want 1", pass, i, ran[i])
 			}
 		}
-	}
-	p := e.Placement()
-	if p.Steals() != 0 {
-		t.Fatalf("affinity run recorded %d steals, want 0", p.Steals())
-	}
-	for i, c := range p.Cells {
-		if c.Ran != c.Planned {
-			t.Fatalf("affinity cell %d ran on shard %d, planned %d", i, c.Ran, c.Planned)
+		if oracle := e.Placement().Oracle; oracle != (pass == "warm") {
+			t.Fatalf("%s: placement oracle = %v", pass, oracle)
 		}
 	}
 }

@@ -27,11 +27,6 @@ type ContentionConfig struct {
 	Mix   engine.Mix
 	// Shards is the engine shard count (<= 0: GOMAXPROCS).
 	Shards int
-	// Affinity pins cells to their ShardFor shard and disables the engine's
-	// work stealing; off, the engine rebalances cells freely (the artifact
-	// is byte-identical either way — only wall-clock and the placement
-	// diagnostic move).
-	Affinity bool
 	// Profile primes the engine's cost oracle with per-label event counts
 	// from an earlier run (Placement.Profile()), so even the first fan-out
 	// plans weight-aware LPT instead of the cold label hash.
@@ -120,7 +115,7 @@ func Contention(cfg ContentionConfig) ContentionSweepResult {
 	}
 	e := engine.New(cfg.Shards)
 	e.Prime(cfg.Profile)
-	out := e.Run(engine.Job{Cells: cells, Affinity: cfg.Affinity, Run: func(sh *engine.Shard, cell int, label string) any {
+	out := e.Run(engine.Job{Cells: cells, Run: func(sh *engine.Shard, cell int, label string) any {
 		l := links[cell/len(qdiscs)]
 		spec := engine.ContentionSpec{
 			Seed:               sim.DeriveSeed(cfg.Seed, "contention", label),

@@ -2,20 +2,16 @@ package experiments
 
 import (
 	"crypto/sha256"
-	"fmt"
 	"sort"
 	"testing"
 
 	"repro/internal/sim"
 )
 
-// schedKinds are the schedulers every artifact must agree across.
-var schedKinds = []sim.SchedulerKind{sim.SchedWheel, sim.SchedHeap}
-
-// schedArtifacts renders a subsampled version of every experiment artifact
+// artifacts renders a subsampled version of every experiment artifact
 // (the same set mm-bench regenerates: fig2, table1, table2, fig3,
 // isolation, sweep) at a given engine parallelism.
-var schedArtifacts = map[string]func(parallel int) string{
+var artifacts = map[string]func(parallel int) string{
 	"fig2": func(parallel int) string {
 		cfg := Fig2Config{
 			Sites: 10, Seed: 1,
@@ -80,25 +76,13 @@ var schedArtifacts = map[string]func(parallel int) string{
 	// pooled tcpsim conns, Pareto web sizes, per-class Poisson arrivals,
 	// per-flow sojourn attribution — under the same contract. Parallelism
 	// here is engine shards (run-to-completion cells on private loops and
-	// pools), not matrix workers, so this is also the cross-scheduler check
-	// for the sharded engine itself.
+	// pools), not matrix workers, so this is also the shard-count check
+	// for the sharded engine itself, work stealing included.
 	"contention": func(parallel int) string {
 		cfg := DefaultContention()
 		cfg.Flows = 24
 		cfg.BulkBytes = 64 << 10
 		cfg.Shards = parallel
-		return Contention(cfg).String()
-	},
-	// The affinity variant pins cells to their ShardFor shard with stealing
-	// disabled. Each variant is internally byte-identical across shard
-	// counts and schedulers here; the golden tests additionally pin both
-	// variants to the same pre-stealing bytes, closing the cross-mode loop.
-	"contention-affinity": func(parallel int) string {
-		cfg := DefaultContention()
-		cfg.Flows = 24
-		cfg.BulkBytes = 64 << 10
-		cfg.Shards = parallel
-		cfg.Affinity = true
 		return Contention(cfg).String()
 	},
 	// The dynamics cells run the chaos scheduler: scripted mid-load link
@@ -107,16 +91,10 @@ var schedArtifacts = map[string]func(parallel int) string{
 	// artifact. Byte-identity here pins every transition instant, every
 	// drain accounting number, and the recovery behaviour of the endpoint
 	// stacks (RTO backoff ladders, browser response deadlines) across
-	// schedulers and shard counts.
+	// shard counts.
 	"dynamics": func(parallel int) string {
 		cfg := DefaultDynamics()
 		cfg.Shards = parallel
-		return Dynamics(cfg).String()
-	},
-	"dynamics-affinity": func(parallel int) string {
-		cfg := DefaultDynamics()
-		cfg.Shards = parallel
-		cfg.Affinity = true
 		return Dynamics(cfg).String()
 	},
 	// The linkchar cells put the impairment vocabulary — reorder holds on
@@ -125,7 +103,7 @@ var schedArtifacts = map[string]func(parallel int) string{
 	// the byte-identity contract, over the synthesized link-character
 	// corpus. Every impairment box's one-draw-per-packet stream and the
 	// tcpsim goodput accounting (DupBytesRcvd, ChecksumDrops) are pinned
-	// here across schedulers and parallelism.
+	// here across parallelism.
 	"linkchar": func(parallel int) string {
 		cfg := DefaultLinkchar()
 		cfg.Parallel = parallel
@@ -133,71 +111,34 @@ var schedArtifacts = map[string]func(parallel int) string{
 	},
 }
 
-// TestCrossSchedulerParallelDeterminism is the scheduler-ablation safety
-// net: every artifact must be byte-identical under the wheel and the heap
-// scheduler, at engine parallelism 1, 2 and 8 (run with -race in CI). This
-// is what licenses mm-bench -sched as a pure performance knob and packet
-// trains as a pure event-count optimization — neither may move a number.
-func TestCrossSchedulerParallelDeterminism(t *testing.T) {
-	prev := sim.DefaultScheduler()
-	defer sim.SetDefaultScheduler(prev)
-
-	names := make([]string, 0, len(schedArtifacts))
-	for name := range schedArtifacts {
+// TestArtifactParallelDeterminism is the determinism safety net: every
+// artifact must be byte-identical at engine parallelism 1, 2 and 8 (run
+// with -race in CI). This is what licenses parallelism, work stealing and
+// packet trains as pure performance knobs — none of them may move a number.
+func TestArtifactParallelDeterminism(t *testing.T) {
+	names := make([]string, 0, len(artifacts))
+	for name := range artifacts {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 
 	for _, name := range names {
-		render := schedArtifacts[name]
-		type variant struct {
-			kind     sim.SchedulerKind
-			parallel int
-		}
+		render := artifacts[name]
 		var goldenHash [32]byte
-		var golden variant
-		first := true
-		for _, kind := range schedKinds {
-			sim.SetDefaultScheduler(kind)
-			for _, parallel := range parallelLevels {
-				out := render(parallel)
-				if out == "" {
-					t.Fatalf("%s: empty artifact (sched=%v parallel=%d)", name, kind, parallel)
-				}
-				h := sha256.Sum256([]byte(out))
-				if first {
-					goldenHash, golden, first = h, variant{kind, parallel}, false
-					continue
-				}
-				if h != goldenHash {
-					t.Errorf("%s: artifact hash %x under sched=%v parallel=%d differs from %x under sched=%v parallel=%d",
-						name, h[:8], kind, parallel, goldenHash[:8], golden.kind, golden.parallel)
-				}
+		for i, parallel := range parallelLevels {
+			out := render(parallel)
+			if out == "" {
+				t.Fatalf("%s: empty artifact (parallel=%d)", name, parallel)
+			}
+			h := sha256.Sum256([]byte(out))
+			if i == 0 {
+				goldenHash = h
+				continue
+			}
+			if h != goldenHash {
+				t.Errorf("%s: artifact hash %x at parallel=%d differs from %x at parallel=%d",
+					name, h[:8], parallel, goldenHash[:8], parallelLevels[0])
 			}
 		}
-	}
-}
-
-// TestSchedulerKindPlumbing pins the ablation switch itself: NewLoop obeys
-// the process default, and a scratch's recycled loop is replaced when the
-// default changes mid-process (the ablation pattern mm-bench -sched uses).
-func TestSchedulerKindPlumbing(t *testing.T) {
-	prev := sim.DefaultScheduler()
-	defer sim.SetDefaultScheduler(prev)
-
-	sim.SetDefaultScheduler(sim.SchedHeap)
-	if got := sim.NewLoop().Scheduler(); got != sim.SchedHeap {
-		t.Fatalf("NewLoop scheduler = %v, want heap", got)
-	}
-	sc := NewScratch()
-	if got := sc.loopFor().Scheduler(); got != sim.SchedHeap {
-		t.Fatalf("scratch loop scheduler = %v, want heap", got)
-	}
-	sim.SetDefaultScheduler(sim.SchedWheel)
-	if got := sc.loopFor().Scheduler(); got != sim.SchedWheel {
-		t.Fatalf("scratch loop not replaced on scheduler switch: %v", got)
-	}
-	if fmt.Sprint(sim.SchedWheel, sim.SchedHeap) != "wheel heap" {
-		t.Fatalf("SchedulerKind names changed: %v %v", sim.SchedWheel, sim.SchedHeap)
 	}
 }

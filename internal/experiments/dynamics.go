@@ -29,11 +29,9 @@ type DynamicsConfig struct {
 	Seed uint64
 	// Shards is the sharded engine's lane count (<= 0 = GOMAXPROCS).
 	Shards int
-	// Affinity pins cells to ShardFor and disables work stealing; Profile
-	// primes the cost oracle with an earlier run's Placement.Profile().
-	// Neither can move a number in the artifact.
-	Affinity bool
-	Profile  engine.Profile
+	// Profile primes the cost oracle with an earlier run's
+	// Placement.Profile(); it cannot move a number in the artifact.
+	Profile engine.Profile
 	// LinkRate is the shaped link's base rate; StepRate is what the
 	// ratestep scenario drops it to mid-load.
 	LinkRate, StepRate int64
@@ -149,7 +147,7 @@ func Dynamics(cfg DynamicsConfig) DynamicsResult {
 
 	e := engine.New(cfg.Shards)
 	e.Prime(cfg.Profile)
-	out := e.Run(engine.Job{Cells: cells, Affinity: cfg.Affinity, Run: func(sh *engine.Shard, cell int, label string) any {
+	out := e.Run(engine.Job{Cells: cells, Run: func(sh *engine.Shard, cell int, label string) any {
 		scenario := label[:strings.IndexByte(label, '+')]
 		var spec netem.QdiscSpec
 		switch {
@@ -289,7 +287,7 @@ func dynamicsCell(sh *engine.Shard, cfg DynamicsConfig, page *webgen.Page,
 
 // String renders the artifact: one block per cell — the verdict line, the
 // transition transcript, the per-phase queue table. Byte-identical at any
-// shard count and under both schedulers.
+// shard count.
 func (r DynamicsResult) String() string {
 	var b strings.Builder
 	b.WriteString("dynamics: scripted link faults x AQM, page-load recovery\n")

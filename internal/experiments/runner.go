@@ -81,21 +81,9 @@ type Scratch struct {
 	matcher     *match.Matcher
 }
 
-// loopFor returns a reset, warmed event loop, replacing it when the
-// process-default scheduler changed since the last load (e.g. an ablation
-// run switching kinds mid-process).
-func (s *Scratch) loopFor() *sim.Loop {
-	if s.loop == nil || s.loop.Scheduler() != sim.DefaultScheduler() {
-		s.loop = sim.NewLoop()
-		return s.loop
-	}
-	s.loop.Reset()
-	return s.loop
-}
-
 // NewScratch returns an empty scratch.
 func NewScratch() *Scratch {
-	return &Scratch{pools: &nsim.PoolSet{}, segments: &tcpsim.SegmentPool{}}
+	return &Scratch{pools: &nsim.PoolSet{}, segments: &tcpsim.SegmentPool{}, loop: sim.NewLoop()}
 }
 
 // matcherFor returns a matcher index for site, rebuilding only when the
@@ -124,7 +112,8 @@ func Load(spec LoadSpec) browser.Result {
 		sc = scratchPool.Get().(*Scratch)
 		defer scratchPool.Put(sc)
 	}
-	loop := sc.loopFor()
+	loop := sc.loop
+	loop.Reset()
 	network := nsim.NewNetworkPooled(loop, sc.pools)
 	site := spec.Site
 	if site == nil {

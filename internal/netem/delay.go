@@ -12,8 +12,7 @@ import (
 // delay."
 //
 // Because the delay is identical for every packet, delivery is FIFO; the box
-// nevertheless keeps an explicit queue so its occupancy can be observed, and
-// so that the ablation bench can compare against a heap-based variant.
+// tracks its occupancy in Stats so the queue can be observed.
 //
 // Bursts are delivered as packet trains: a run of packets arriving at one
 // instant with nothing scheduled in between (see train) shares one delivery
@@ -130,101 +129,6 @@ func (d *DelayBox) SetBatchSink(sink BatchSink) { d.batchSink = sink }
 
 // Stats implements Box.
 func (d *DelayBox) Stats() BoxStats { return d.stats }
-
-// FIFODelayBox implements the same fixed one-way delay as DelayBox but
-// keeps its own FIFO and arms only one timer (for the head packet's
-// release) instead of scheduling one event per packet. Mahimahi's
-// DelayShell works this way — one queue per direction, woken at the head's
-// release time. Behaviour is identical for a fixed delay; the ablation
-// bench in the repository root compares the two implementations'
-// event-loop load.
-type FIFODelayBox struct {
-	loop   *sim.Loop
-	delay  sim.Time
-	sink   Sink
-	queue  []fifoEntry
-	head   int
-	armed  bool
-	stats  BoxStats
-	fireFn sim.Handler // fire pre-bound once; see DelayBox.releaseFn
-}
-
-type fifoEntry struct {
-	pkt     *Packet
-	release sim.Time
-}
-
-// NewFIFODelayBox returns a fixed one-way-delay box with single-timer
-// scheduling.
-func NewFIFODelayBox(loop *sim.Loop, delay sim.Time) *FIFODelayBox {
-	if delay < 0 {
-		panic(fmt.Sprintf("netem: negative delay %v", delay))
-	}
-	d := &FIFODelayBox{loop: loop, delay: delay}
-	d.fireFn = d.fire
-	return d
-}
-
-// Send implements Box.
-func (d *FIFODelayBox) Send(pkt *Packet) {
-	if d.sink == nil {
-		panic("netem: FIFODelayBox.Send before SetSink")
-	}
-	d.stats.Arrived++
-	d.stats.ArrivedBytes += uint64(pkt.Size)
-	d.queue = append(d.queue, fifoEntry{pkt: pkt, release: d.loop.Now() + d.delay})
-	if n := len(d.queue) - d.head; n > d.stats.MaxQueueLen {
-		d.stats.MaxQueueLen = n
-	}
-	d.arm()
-}
-
-// SendBatch implements Box. The FIFO variant's release path is inherently
-// sequential (one packet per timer firing, rearmed after each delivery), so
-// trains enter the queue per-packet and are not reformed on egress.
-func (d *FIFODelayBox) SendBatch(pkts []*Packet) {
-	for _, pkt := range pkts {
-		d.Send(pkt)
-	}
-}
-
-func (d *FIFODelayBox) arm() {
-	if d.armed || d.head >= len(d.queue) {
-		return
-	}
-	d.armed = true
-	d.loop.ScheduleAt(d.queue[d.head].release, d.fireFn)
-}
-
-// fire releases the head packet and rearms for the next.
-func (d *FIFODelayBox) fire(sim.Time) {
-	d.armed = false
-	e := d.queue[d.head]
-	d.queue[d.head] = fifoEntry{}
-	d.head++
-	if d.head > 64 && d.head*2 >= len(d.queue) {
-		n := copy(d.queue, d.queue[d.head:])
-		d.queue = d.queue[:n]
-		d.head = 0
-	}
-	d.stats.Delivered++
-	d.stats.DeliveredBytes += uint64(e.pkt.Size)
-	d.sink(e.pkt)
-	d.arm()
-}
-
-// SetSink implements Box.
-func (d *FIFODelayBox) SetSink(sink Sink) { d.sink = sink }
-
-// SetBatchSink implements Box (unused: egress is per-packet).
-func (d *FIFODelayBox) SetBatchSink(BatchSink) {}
-
-// Stats implements Box.
-func (d *FIFODelayBox) Stats() BoxStats {
-	st := d.stats
-	st.QueueLen = len(d.queue) - d.head
-	return st
-}
 
 // LossBox drops packets according to a pluggable LossModel (Mahimahi's
 // mm-loss extension; Bernoulli by default). Drops are drawn from a

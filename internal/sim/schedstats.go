@@ -4,11 +4,10 @@ import "sync/atomic"
 
 // SchedCounters are per-loop event-queue occupancy and scheduler counters,
 // maintained unconditionally (they are a handful of integer updates on
-// paths that already touch the same cache lines). They ground scheduler
-// ablations in data: BucketHit/BucketNew give the wheel's clustering ratio
-// — the fraction of events that found an existing timestamp bucket and
-// scheduled in O(1) — while NowFast counts the zero-delay fast path common
-// to both schedulers.
+// paths that already touch the same cache lines). BucketHit/BucketNew give
+// the scheduler's clustering ratio — the fraction of events that found an
+// existing timestamp bucket and scheduled in O(1) — while NowFast counts
+// the zero-delay fast path.
 type SchedCounters struct {
 	// Scheduled counts events entered into the queue (including later
 	// canceled ones); Fired counts events that executed.
@@ -16,15 +15,13 @@ type SchedCounters struct {
 	Fired     uint64
 	// NowFast counts events taking the same-instant FIFO fast path.
 	NowFast uint64
-	// BucketHit counts wheel events that joined the cached same-deadline
+	// BucketHit counts bucketed events that joined the cached same-deadline
 	// run (O(1), no heap work); BucketNew counts events that opened a run
 	// (one run-heap push each).
 	BucketHit uint64
 	BucketNew uint64
-	// HeapPush counts heap-scheduler insertions (zero under the wheel).
-	HeapPush uint64
 	// MaxPending is the event queue's high-water mark; MaxBuckets the
-	// wheel's concurrent-run high-water mark.
+	// scheduler's concurrent-run high-water mark.
 	MaxPending int
 	MaxBuckets int
 }
@@ -48,7 +45,6 @@ var statsSink struct {
 	nowFast    atomic.Uint64
 	bucketHit  atomic.Uint64
 	bucketNew  atomic.Uint64
-	heapPush   atomic.Uint64
 	maxPending atomic.Int64
 	maxBuckets atomic.Int64
 }
@@ -68,7 +64,6 @@ func SchedStatsSnapshot() (SchedCounters, uint64) {
 		NowFast:    statsSink.nowFast.Load(),
 		BucketHit:  statsSink.bucketHit.Load(),
 		BucketNew:  statsSink.bucketNew.Load(),
-		HeapPush:   statsSink.heapPush.Load(),
 		MaxPending: int(statsSink.maxPending.Load()),
 		MaxBuckets: int(statsSink.maxBuckets.Load()),
 	}, statsSink.loops.Load()
@@ -82,7 +77,6 @@ func ResetSchedStats() {
 	statsSink.nowFast.Store(0)
 	statsSink.bucketHit.Store(0)
 	statsSink.bucketNew.Store(0)
-	statsSink.heapPush.Store(0)
 	statsSink.maxPending.Store(0)
 	statsSink.maxBuckets.Store(0)
 }
@@ -110,7 +104,6 @@ func (l *Loop) flushStats() {
 	statsSink.nowFast.Add(c.NowFast - l.flushed.NowFast)
 	statsSink.bucketHit.Add(c.BucketHit - l.flushed.BucketHit)
 	statsSink.bucketNew.Add(c.BucketNew - l.flushed.BucketNew)
-	statsSink.heapPush.Add(c.HeapPush - l.flushed.HeapPush)
 	atomicMax(&statsSink.maxPending, int64(c.MaxPending))
 	atomicMax(&statsSink.maxBuckets, int64(c.MaxBuckets))
 	l.flushed = c

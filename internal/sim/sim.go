@@ -15,19 +15,18 @@
 // value-typed slots recycled through a free list, so scheduling costs no
 // heap allocation and firing order never depends on memory layout.
 //
-// Future events are ordered by one of two interchangeable schedulers (see
-// SchedulerKind): the default timing-wheel-style calendar queue, which
-// exploits the workload's heavily clustered deadlines (fixed box delays,
-// millisecond-quantized trace opportunities) by keeping one FIFO bucket per
-// distinct timestamp, and the PR2 inlined indexed binary min-heap, retained
-// behind an ablation switch. Both fire events in exactly the same
-// (time, priority, sequence) order, so artifacts are scheduler-independent.
+// Future events are ordered by a calendar queue of same-deadline runs under
+// a small binary heap keyed by each run's earliest event. It exploits the
+// workload's heavily clustered deadlines (fixed box delays,
+// millisecond-quantized trace opportunities): consecutive schedules onto
+// one deadline — a burst filling a packet train, per-ACK timer rearms onto
+// one RTO — append to a cached run in O(1) with no heap work, so heap
+// operations are paid per run rather than per event.
 package sim
 
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 )
 
@@ -80,55 +79,14 @@ type eventSlot struct {
 	arg      any
 	priority int32
 	gen      uint32
-	// heapIdx locates the slot in the active scheduler: the heap position
-	// (SchedHeap) or the bucket index (SchedWheel); -1 when the slot is in
-	// the now-queue or free.
-	heapIdx int32
+	// bucket is the index of the same-deadline run holding the slot; -1
+	// when the slot is in the now-queue or free.
+	bucket int32
 	// next and prev link the slot into its bucket's (priority, seq)-ordered
-	// list (SchedWheel only).
+	// list.
 	next, prev int32
 	canceled   bool
 }
-
-// SchedulerKind selects the Loop's future-event priority structure. Both
-// kinds fire events in identical (time, priority, sequence) order; they
-// differ only in cost profile, and the heap is kept for ablation benches
-// (mm-bench -sched=heap).
-type SchedulerKind int32
-
-const (
-	// SchedWheel is the default: a calendar queue of same-deadline FIFO
-	// runs under a small binary heap keyed by each run's earliest event.
-	// Consecutive schedules onto one deadline — a burst filling a packet
-	// train, per-ACK timer rearms onto one RTO — append to a cached run in
-	// O(1) with no heap work, so heap operations are paid per run rather
-	// than per event, which is where clustered-deadline workloads spend
-	// their scheduling budget.
-	SchedWheel SchedulerKind = iota
-	// SchedHeap is the PR2 inlined indexed binary min-heap over all future
-	// events: O(log n) per event, insensitive to deadline clustering.
-	SchedHeap
-)
-
-// String names the scheduler kind as accepted by mm-bench -sched.
-func (k SchedulerKind) String() string {
-	if k == SchedHeap {
-		return "heap"
-	}
-	return "wheel"
-}
-
-// defaultScheduler is the kind NewLoop uses; settable process-wide (e.g.
-// by mm-bench -sched) and read atomically so parallel experiment workers
-// creating loops race-cleanly observe it.
-var defaultScheduler atomic.Int32
-
-// SetDefaultScheduler selects the scheduler NewLoop gives out. Call it
-// before simulations start; loops already created keep their scheduler.
-func SetDefaultScheduler(k SchedulerKind) { defaultScheduler.Store(int32(k)) }
-
-// DefaultScheduler reports the process-wide scheduler kind.
-func DefaultScheduler() SchedulerKind { return SchedulerKind(defaultScheduler.Load()) }
 
 // Event is a cancelable handle to a scheduled callback, returned by the
 // scheduling methods (e.g. so a test can cancel a pending event). It is a
@@ -187,9 +145,10 @@ func (l *Loop) NewTimer(fn Handler) Timer {
 // Reset (re)arms the timer to fire after delay, canceling any pending
 // firing. A negative delay is clamped to zero. Reset performs no heap
 // allocation: a still-pending firing is rescheduled in place — the slot
-// gets the new time and a fresh sequence number (so ordering matches a
-// cancel-plus-reschedule exactly) and sifts to its new heap position —
-// and otherwise the timer draws a recycled slot with its bound handler.
+// leaves its old run and re-enters the scheduler with the new time and a
+// fresh sequence number, so ordering matches a cancel-plus-reschedule
+// exactly — and otherwise the timer draws a recycled slot with its bound
+// handler.
 func (t *Timer) Reset(delay Time) {
 	if delay < 0 {
 		delay = 0
@@ -197,32 +156,20 @@ func (t *Timer) Reset(delay Time) {
 	l := t.loop
 	if t.armed {
 		s := &l.slots[t.slot]
-		if s.gen == t.gen && !s.canceled && s.heapIdx >= 0 {
+		if s.gen == t.gen && !s.canceled && s.bucket >= 0 {
 			l.counters.Scheduled++ // a rearm is a cancel-plus-reschedule
-			if l.kind == SchedWheel {
-				// Unlink from the old timestamp's bucket and re-enter the
-				// scheduler exactly as a fresh schedule would.
-				l.wheelUnlink(t.slot)
-				s.at = l.now + delay
-				s.seq = l.nextSeq
-				l.nextSeq++
-				if s.at == l.now && s.priority == 0 {
-					s.heapIdx = -1
-					l.nowq = append(l.nowq, t.slot)
-					l.counters.NowFast++
-				} else {
-					l.wheelInsert(t.slot)
-				}
-				return
-			}
+			// Unlink from the old timestamp's bucket and re-enter the
+			// scheduler exactly as a fresh schedule would.
+			l.wheelUnlink(t.slot)
 			s.at = l.now + delay
 			s.seq = l.nextSeq
 			l.nextSeq++
-			l.counters.HeapPush++
-			// Restore heap order from the slot's current position: one of
-			// the two sifts moves it, the other is a no-op.
-			l.siftDown(int(s.heapIdx))
-			l.siftUp(int(s.heapIdx))
+			if s.at == l.now && s.priority == 0 {
+				l.nowq = append(l.nowq, t.slot)
+				l.counters.NowFast++
+			} else {
+				l.wheelInsert(t.slot)
+			}
 			return
 		}
 	}
@@ -244,7 +191,7 @@ func (t *Timer) Stop() {
 	}
 }
 
-// bucket is one same-timestamp FIFO run of the wheel scheduler. Its slot
+// bucket is one same-timestamp FIFO run of the scheduler. Its slot
 // list is ordered by (priority, seq); with the default priority that is
 // plain FIFO append order. Buckets live in a slab recycled through a free
 // list and are indexed into a small binary heap ordered by
@@ -269,13 +216,11 @@ func (l *Loop) syncHeadKey(b *bucket) {
 // with NewLoop.
 type Loop struct {
 	now   Time
-	kind  SchedulerKind
 	slots []eventSlot
-	heap  []int32 // SchedHeap: slot indices ordered by (at, priority, seq)
 	free  []int32 // recycled slot indices
-	// Wheel scheduler state (SchedWheel): same-deadline runs share one
-	// bucket, ordered by a small heap over the runs' earliest events.
-	// wheelCount tracks slots currently held in buckets.
+	// Scheduler state: same-deadline runs share one bucket, ordered by a
+	// small heap over the runs' earliest events. wheelCount tracks slots
+	// currently held in buckets.
 	buckets []bucket
 	bfree   []int32 // recycled bucket indices
 	bheap   []int32 // bucket indices ordered by (at, head priority, head seq)
@@ -291,7 +236,7 @@ type Loop struct {
 	// construction (appended in scheduling order, and seq increases), so
 	// the queue is a FIFO ring consumed from nowHead; it is provably empty
 	// whenever the clock advances, because its entries sort before any
-	// later-timed heap event. Step merge-compares the ring head with the
+	// later-timed bucketed event. Step merge-compares the ring head with the
 	// scheduler's minimum, so firing order remains exactly
 	// (at, priority, seq).
 	nowq     []int32
@@ -303,27 +248,19 @@ type Loop struct {
 	flushed  SchedCounters // portion already pushed to the global stats sink
 }
 
-// NewLoop returns an empty event loop positioned at virtual time zero,
-// using the process-default scheduler (see SetDefaultScheduler).
+// NewLoop returns an empty event loop positioned at virtual time zero.
 func NewLoop() *Loop {
-	return NewLoopSched(DefaultScheduler())
+	return &Loop{lastBucket: -1}
 }
-
-// NewLoopSched returns an empty event loop using the given scheduler kind.
-func NewLoopSched(kind SchedulerKind) *Loop {
-	return &Loop{kind: kind, lastBucket: -1}
-}
-
-// Scheduler reports the loop's scheduler kind.
-func (l *Loop) Scheduler() SchedulerKind { return l.kind }
 
 // Reset returns the loop to its initial state — virtual time zero, empty
-// queue — while keeping every allocated capacity (slot slab, heaps,
-// buckets, timestamp map), so a driver running many sequential simulations
-// can reuse one warmed loop instead of regrowing these structures per run
-// (see experiments.Scratch). Any events still pending are discarded.
-// Event/Timer handles issued before the reset must not be used afterwards:
-// slot generations advance, which makes stale handles inert.
+// queue — while keeping every allocated capacity (slot slab, free lists,
+// buckets, run heap, now-queue), so a driver running many sequential
+// simulations can reuse one warmed loop instead of regrowing these
+// structures per run (see experiments.Scratch). Any events still pending
+// are discarded. Event/Timer handles issued before the reset must not be
+// used afterwards: slot generations advance, which makes stale handles
+// inert.
 func (l *Loop) Reset() {
 	if l.running {
 		panic("sim: Reset while running")
@@ -332,14 +269,13 @@ func (l *Loop) Reset() {
 		s := &l.slots[i]
 		s.fn, s.afn, s.arg = nil, nil, nil
 		s.canceled = false
-		s.heapIdx = -1
+		s.bucket = -1
 		s.gen++
 	}
 	l.free = l.free[:0]
 	for i := len(l.slots) - 1; i >= 0; i-- {
 		l.free = append(l.free, int32(i))
 	}
-	l.heap = l.heap[:0]
 	l.nowq = l.nowq[:0]
 	l.nowHead = 0
 	l.buckets = l.buckets[:0]
@@ -358,16 +294,7 @@ func (l *Loop) Now() Time { return l.now }
 
 // Pending reports the number of events currently queued (including canceled
 // events that have not yet been discarded).
-func (l *Loop) Pending() int { return l.futureLen() + len(l.nowq) - l.nowHead }
-
-// futureLen reports the number of events held by the future-event
-// scheduler (excluding the now-queue).
-func (l *Loop) futureLen() int {
-	if l.kind == SchedWheel {
-		return l.wheelCount
-	}
-	return len(l.heap)
-}
+func (l *Loop) Pending() int { return l.wheelCount + len(l.nowq) - l.nowHead }
 
 // SeqMark returns an opaque marker that changes whenever a new event is
 // scheduled. Batching layers (netem's packet trains) use it to detect
@@ -430,10 +357,10 @@ func (l *Loop) newEvent(at Time, priority int32, fn Handler, afn ArgHandler, arg
 	return Event{loop: l, slot: slot, gen: gen, at: l.slots[slot].at}
 }
 
-// scheduleSlot places a callback in the slab and heap, returning its slot
-// index and generation. This is the single scheduling primitive every
+// scheduleSlot places a callback in the slab and scheduler, returning its
+// slot index and generation. This is the single scheduling primitive every
 // public method funnels through; it performs no allocation once the slab
-// and heap have reached the workload's high-water mark.
+// and buckets have reached the workload's high-water mark.
 func (l *Loop) scheduleSlot(at Time, priority int32, fn Handler, afn ArgHandler, arg any) (int32, uint32) {
 	if at < l.now {
 		at = l.now
@@ -457,16 +384,11 @@ func (l *Loop) scheduleSlot(at Time, priority int32, fn Handler, afn ArgHandler,
 	l.nextSeq++
 	l.counters.Scheduled++
 	if at == l.now && priority == 0 {
-		s.heapIdx = -1
+		s.bucket = -1
 		l.nowq = append(l.nowq, idx)
 		l.counters.NowFast++
-	} else if l.kind == SchedWheel {
-		l.wheelInsert(idx)
 	} else {
-		s.heapIdx = int32(len(l.heap))
-		l.heap = append(l.heap, idx)
-		l.siftUp(len(l.heap) - 1)
-		l.counters.HeapPush++
+		l.wheelInsert(idx)
 	}
 	if p := l.Pending(); p > l.counters.MaxPending {
 		l.counters.MaxPending = p
@@ -504,7 +426,7 @@ func (l *Loop) wheelInsert(idx int32) {
 		b.head, b.tail = idx, idx
 		b.headPrio = s.priority
 		b.headSeq = s.seq
-		s.heapIdx = bi
+		s.bucket = bi
 		l.lastBucket = bi
 		l.bheapPush(bi)
 		l.wheelCount++
@@ -515,7 +437,7 @@ func (l *Loop) wheelInsert(idx int32) {
 	}
 	l.counters.BucketHit++
 	b := &l.buckets[bi]
-	s.heapIdx = bi
+	s.bucket = bi
 	if l.slots[b.tail].priority <= s.priority {
 		// FIFO fast path: new event fires after everything queued for this
 		// deadline; the bucket's heap position is untouched.
@@ -561,17 +483,17 @@ func (l *Loop) wheelPop() int32 {
 	} else {
 		l.freeBucket(bi, 0)
 	}
-	s.heapIdx = -1
+	s.bucket = -1
 	l.wheelCount--
 	return idx
 }
 
 // wheelUnlink removes a slot from its bucket without firing it (Timer.Reset
 // repositioning). The caller must know the slot is bucket-resident
-// (heapIdx >= 0 in wheel mode).
+// (bucket >= 0).
 func (l *Loop) wheelUnlink(idx int32) {
 	s := &l.slots[idx]
-	bi := s.heapIdx
+	bi := s.bucket
 	b := &l.buckets[bi]
 	if s.prev != -1 {
 		l.slots[s.prev].next = s.next
@@ -583,7 +505,7 @@ func (l *Loop) wheelUnlink(idx int32) {
 	} else {
 		b.tail = s.prev
 	}
-	s.heapIdx = -1
+	s.bucket = -1
 	l.wheelCount--
 	if b.head == -1 {
 		l.freeBucket(bi, int(b.heapIdx))
@@ -682,58 +604,6 @@ func (l *Loop) less(a, b int32) bool {
 	return sa.seq < sb.seq
 }
 
-func (l *Loop) siftUp(i int) {
-	h := l.heap
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !l.less(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		l.slots[h[i]].heapIdx = int32(i)
-		i = parent
-	}
-	l.slots[h[i]].heapIdx = int32(i)
-}
-
-func (l *Loop) siftDown(i int) {
-	h := l.heap
-	n := len(h)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		child := left
-		if right := left + 1; right < n && l.less(h[right], h[left]) {
-			child = right
-		}
-		if !l.less(h[child], h[i]) {
-			break
-		}
-		h[i], h[child] = h[child], h[i]
-		l.slots[h[i]].heapIdx = int32(i)
-		i = child
-	}
-	l.slots[h[i]].heapIdx = int32(i)
-}
-
-// popRoot removes and returns the heap's minimum slot index.
-func (l *Loop) popRoot() int32 {
-	root := l.heap[0]
-	l.slots[root].heapIdx = -1
-	n := len(l.heap) - 1
-	l.heap[0] = l.heap[n]
-	l.heap = l.heap[:n]
-	if n > 0 {
-		l.slots[l.heap[0]].heapIdx = 0
-		if n > 1 {
-			l.siftDown(0)
-		}
-	}
-	return root
-}
-
 // popNow consumes the now-queue's head.
 func (l *Loop) popNow() int32 {
 	idx := l.nowq[l.nowHead]
@@ -745,38 +615,24 @@ func (l *Loop) popNow() int32 {
 	return idx
 }
 
-// futureMin returns the slot index of the scheduler's earliest event. The
-// caller must ensure futureLen() > 0.
-func (l *Loop) futureMin() int32 {
-	if l.kind == SchedWheel {
-		return l.buckets[l.bheap[0]].head
-	}
-	return l.heap[0]
-}
-
-// futurePop removes and returns the scheduler's earliest event's slot
-// index. The caller must ensure futureLen() > 0.
-func (l *Loop) futurePop() int32 {
-	if l.kind == SchedWheel {
-		return l.wheelPop()
-	}
-	return l.popRoot()
-}
+// wheelMin returns the slot index of the scheduler's earliest event. The
+// caller must ensure wheelCount > 0.
+func (l *Loop) wheelMin() int32 { return l.buckets[l.bheap[0]].head }
 
 // peekNext returns the slot index of the globally earliest event without
 // removing it; ok is false when no events remain.
 func (l *Loop) peekNext() (int32, bool) {
 	hasNow := l.nowHead < len(l.nowq)
-	hasFuture := l.futureLen() > 0
+	hasFuture := l.wheelCount > 0
 	switch {
 	case !hasNow && !hasFuture:
 		return 0, false
 	case hasNow && !hasFuture:
 		return l.nowq[l.nowHead], true
 	case hasFuture && !hasNow:
-		return l.futureMin(), true
+		return l.wheelMin(), true
 	}
-	if min := l.futureMin(); l.less(min, l.nowq[l.nowHead]) {
+	if min := l.wheelMin(); l.less(min, l.nowq[l.nowHead]) {
 		return min, true
 	}
 	return l.nowq[l.nowHead], true
@@ -785,17 +641,17 @@ func (l *Loop) peekNext() (int32, bool) {
 // popNext removes and returns the globally earliest event's slot index.
 func (l *Loop) popNext() (int32, bool) {
 	hasNow := l.nowHead < len(l.nowq)
-	hasFuture := l.futureLen() > 0
+	hasFuture := l.wheelCount > 0
 	switch {
 	case !hasNow && !hasFuture:
 		return 0, false
 	case hasNow && !hasFuture:
 		return l.popNow(), true
 	case hasFuture && !hasNow:
-		return l.futurePop(), true
+		return l.wheelPop(), true
 	}
-	if l.less(l.futureMin(), l.nowq[l.nowHead]) {
-		return l.futurePop(), true
+	if l.less(l.wheelMin(), l.nowq[l.nowHead]) {
+		return l.wheelPop(), true
 	}
 	return l.popNow(), true
 }
@@ -808,7 +664,7 @@ func (l *Loop) freeSlot(idx int32) {
 	s.afn = nil
 	s.arg = nil
 	s.canceled = false
-	s.heapIdx = -1
+	s.bucket = -1
 	s.gen++
 	l.free = append(l.free, idx)
 }
