@@ -122,10 +122,10 @@ type Scratch struct {
 	childFired []bool
 	counts     []int
 	wireBuf    []byte
-	// parsers recycles response parsers (and their body buffers) across
-	// connections and loads. The browser only meters bodies, so parsers
-	// run with ReuseBodies and each connection's responses borrow one
-	// recycled buffer instead of allocating per response.
+	// parsers recycles response parsers across connections and loads.
+	// The browser reads only body lengths, so parsers run in metering
+	// mode (httpx.ResponseParser.MeterBodies): lengths stay exact and no
+	// body byte is copied off the wire.
 	parsers []*httpx.ResponseParser
 }
 
@@ -138,7 +138,7 @@ func (sc *Scratch) getParser() *httpx.ResponseParser {
 		p.Reset()
 		return p
 	}
-	return &httpx.ResponseParser{ReuseBodies: true}
+	return &httpx.ResponseParser{MeterBodies: true}
 }
 
 // New creates a browser. stack must belong to the app namespace; resolver
@@ -632,7 +632,7 @@ func (l *load) complete() {
 	}
 	// Close all connections so the event loop drains. Every response has
 	// been fully parsed by now (completion requires all bodies), so the
-	// parsers — and their recycled body buffers — go back to the scratch.
+	// parsers go back to the scratch.
 	for _, p := range l.poolOrder {
 		for _, pc := range p.conns {
 			if pc.parser != nil {

@@ -48,9 +48,10 @@ func (c Cell) String() string {
 // Run must be pure up to its arguments: it may not mutate state shared
 // with other cells (each call builds its own sim.Loop and network;
 // cross-cell inputs like generated pages, materialized sites and parsed
-// traces are shared but immutable), and all randomness must come from
-// generators seeded with the supplied seed. Under those conditions the
-// matrix's results are bit-identical at any parallelism level.
+// traces are shared but immutable once built, see materializeAll), and
+// all randomness must come from generators seeded with the supplied seed.
+// Under those conditions the matrix's results are bit-identical at any
+// parallelism level.
 type Matrix struct {
 	// Name labels the experiment for diagnostics.
 	Name string

@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"bytes"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/archive"
 	"repro/internal/sim"
+	"repro/internal/webgen"
 )
 
 // TestRunnerIndexAlignment checks results land in the slot of the cell
@@ -219,5 +222,71 @@ func TestSweepShape(t *testing.T) {
 	}
 	if !strings.Contains(r.String(), "Scenario sweep") {
 		t.Fatal("String() malformed")
+	}
+}
+
+// TestRunnerLazySitesBuiltOnce runs many cells per site on 8 workers:
+// every cell of a site must see the same *archive.Site pointer (so
+// Scratch.matcherFor keeps its index), each site must equal an eager
+// webgen.Materialize, and onceEach must run each build exactly once even
+// when cells race for it.
+func TestRunnerLazySitesBuiltOnce(t *testing.T) {
+	pages := corpusPages(3, 6)
+	const perSite = 16
+	m := &Matrix{Name: "lazy"}
+	for si := range pages {
+		for trial := 0; trial < perSite; trial++ {
+			m.Cells = append(m.Cells, Cell{Site: siteLabel(si), Trial: trial})
+		}
+	}
+
+	sites := materializeAll(pages)
+	seen := make([]*archive.Site, len(m.Cells))
+	m.Run = func(i int, c Cell, seed uint64) []float64 {
+		seen[i] = sites[i/perSite]()
+		return nil
+	}
+	NewRunner(8).Run(m)
+	for i, s := range seen {
+		first := seen[i/perSite*perSite]
+		if s == nil || s != first {
+			t.Fatalf("cell %d: site %p, first cell of its site got %p", i, s, first)
+		}
+	}
+	encode := func(s *archive.Site) []byte {
+		var b bytes.Buffer
+		for _, e := range s.Exchanges {
+			if err := archive.WriteExchange(&b, e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b.Bytes()
+	}
+	for si, p := range pages {
+		if !bytes.Equal(encode(sites[si]()), encode(webgen.Materialize(p))) {
+			t.Fatalf("site %d: lazy archive differs from webgen.Materialize", si)
+		}
+	}
+
+	builds := make([]atomic.Int64, len(pages))
+	counted := onceEach(pages, func(p *webgen.Page) *webgen.Page {
+		for i := range pages {
+			if pages[i] == p {
+				builds[i].Add(1)
+			}
+		}
+		return p
+	})
+	m.Run = func(i int, c Cell, seed uint64) []float64 {
+		if got := counted[i/perSite](); got != pages[i/perSite] {
+			t.Errorf("cell %d: built value for the wrong page", i)
+		}
+		return nil
+	}
+	NewRunner(8).Run(m)
+	for si := range builds {
+		if n := builds[si].Load(); n != 1 {
+			t.Fatalf("site %d built %d times, want 1", si, n)
+		}
 	}
 }

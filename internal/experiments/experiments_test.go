@@ -90,6 +90,32 @@ func TestFig2SmallShape(t *testing.T) {
 	}
 }
 
+// TestFig2ArmsMeterEveryByte loads corpus sites under each Fig2 arm
+// through the metering browser: every response must arrive and count its
+// full body length.
+func TestFig2ArmsMeterEveryByte(t *testing.T) {
+	cfg := DefaultFig2()
+	pages := corpusPages(5, 20)
+	sites := materializeAll(pages)
+	arms := fig2ArmShells(cfg)
+	for _, arm := range fig2Arms {
+		for si, page := range pages[:6] {
+			r := Load(LoadSpec{
+				Page: page, Site: sites[si](),
+				DNSLatency: sim.Millisecond, RequestCPU: DefaultRequestCPU,
+				Shells: arms[arm](),
+			})
+			if r.Errors != 0 || r.Failed != 0 || r.Resources != len(page.Resources) {
+				t.Fatalf("%s %s: %d errors, %d failed, %d/%d resources",
+					arm, page.Name, r.Errors, r.Failed, r.Resources, len(page.Resources))
+			}
+			if r.Bytes != page.TotalBytes() {
+				t.Fatalf("%s %s: Result.Bytes %d, want page.TotalBytes() %d", arm, page.Name, r.Bytes, page.TotalBytes())
+			}
+		}
+	}
+}
+
 func TestTable1SmallShape(t *testing.T) {
 	cfg := DefaultTable1()
 	cfg.Loads = 15

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/archive"
 	"repro/internal/shells"
@@ -63,25 +64,12 @@ var fig2Arms = []string{"replay", "delay0", "link1000"}
 // any Parallel level.
 func Fig2(cfg Fig2Config) Fig2Result {
 	pages := corpusPages(cfg.Seed, cfg.Sites)
-	t1000, err := trace.Constant(1_000_000_000, 1000)
-	if err != nil {
-		panic(err)
-	}
-	armShells := map[string]func() []shells.Shell{
-		"replay": func() []shells.Shell { return nil },
-		"delay0": func() []shells.Shell {
-			return []shells.Shell{shells.NewDelayShell(cfg.DelayForwarding)}
-		},
-		"link1000": func() []shells.Shell {
-			return []shells.Shell{
-				shells.NewDelayShell(cfg.LinkForwarding),
-				shells.NewLinkShell(t1000, t1000),
-			}
-		},
-	}
+	armShells := fig2ArmShells(cfg)
 
-	// Sites are materialized once and shared across cells: an
-	// archive.Site is immutable once built and only read during loads.
+	// Each site is materialized by the first cell that loads it, on that
+	// cell's worker, and shared by every later cell: an archive.Site is
+	// immutable once built and only read during loads, and handing out one
+	// pointer per site keeps Scratch.matcherFor's index warm.
 	sites := materializeAll(pages)
 
 	m := &Matrix{Name: "fig2", RootSeed: cfg.Seed}
@@ -93,7 +81,7 @@ func Fig2(cfg Fig2Config) Fig2Result {
 	m.Run = func(i int, c Cell, seed uint64) []float64 {
 		si := i / len(fig2Arms)
 		return []float64{PLTms(LoadSpec{
-			Page: pages[si], Site: sites[si],
+			Page: pages[si], Site: sites[si](),
 			DNSLatency: sim.Millisecond, RequestCPU: DefaultRequestCPU,
 			Shells: armShells[c.Shell](),
 		})}
@@ -117,6 +105,27 @@ func Fig2(cfg Fig2Config) Fig2Result {
 	return r
 }
 
+// fig2ArmShells maps each Fig2 arm label to a constructor of its shell
+// stack (fresh shells per load).
+func fig2ArmShells(cfg Fig2Config) map[string]func() []shells.Shell {
+	t1000, err := trace.Constant(1_000_000_000, 1000)
+	if err != nil {
+		panic(err)
+	}
+	return map[string]func() []shells.Shell{
+		"replay": func() []shells.Shell { return nil },
+		"delay0": func() []shells.Shell {
+			return []shells.Shell{shells.NewDelayShell(cfg.DelayForwarding)}
+		},
+		"link1000": func() []shells.Shell {
+			return []shells.Shell{
+				shells.NewDelayShell(cfg.LinkForwarding),
+				shells.NewLinkShell(t1000, t1000),
+			}
+		},
+	}
+}
+
 // String renders the figure as text: summary lines plus an ASCII CDF.
 func (r Fig2Result) String() string {
 	var b strings.Builder
@@ -135,14 +144,24 @@ func (r Fig2Result) String() string {
 // siteLabel names corpus site i for cell coordinates.
 func siteLabel(i int) string { return fmt.Sprintf("site%03d", i) }
 
-// materializeAll builds each page's replay archive up front so concurrent
-// matrix cells share the immutable sites instead of rebuilding them.
-func materializeAll(pages []*webgen.Page) []*archive.Site {
-	sites := make([]*archive.Site, len(pages))
-	for i, p := range pages {
-		sites[i] = webgen.Materialize(p)
+// materializeAll returns one lazy replay archive per page. The first call
+// of sites[i]() builds page i's site on the calling goroutine (a Runner
+// worker, inside the cell that needs it); concurrent and later calls wait
+// for and share that one *archive.Site, so cells never rebuild a site and
+// the build cost is spread over the Runner's workers instead of paid
+// serially before the fan-out.
+func materializeAll(pages []*webgen.Page) []func() *archive.Site {
+	return onceEach(pages, webgen.Materialize)
+}
+
+// onceEach returns one memoizing thunk per input: thunk i runs build(in[i])
+// at most once, on the goroutine of its first caller.
+func onceEach[T, R any](in []T, build func(T) R) []func() R {
+	out := make([]func() R, len(in))
+	for i, v := range in {
+		out[i] = sync.OnceValue(func() R { return build(v) })
 	}
-	return sites
+	return out
 }
 
 // corpusPages generates the experiment corpus, scaled to n sites with the

@@ -107,7 +107,7 @@ func Sweep(cfg SweepConfig) SweepResult {
 	m.Run = func(i int, c Cell, seed uint64) []float64 {
 		st := stacks[i/perStack]
 		si := (i % perStack) / cfg.Trials
-		page, site := pages[si], sites[si]
+		page, site := pages[si], sites[si]()
 		down, err := trace.Constant(st.Rate, 2000)
 		if err != nil {
 			panic(err)

@@ -109,7 +109,7 @@ func Table1(cfg Table1Config) Table1Result {
 	m.Run = func(i int, c Cell, seed uint64) []float64 {
 		pi := i / cellsPerProfile
 		return []float64{PLTms(LoadSpec{
-			Page: pages[pi], Site: sites[pi],
+			Page: pages[pi], Site: sites[pi](),
 			DNSLatency: sim.Millisecond, RequestCPU: DefaultRequestCPU,
 			Shells: []shells.Shell{
 				shells.NewDelayShell(cfg.Delay),

@@ -95,7 +95,7 @@ func Table2(cfg Table2Config) Table2Result {
 	}
 	m.Run = func(i int, c Cell, seed uint64) []float64 {
 		nc := confs[i/len(pages)]
-		page, site := pages[i%len(pages)], sites[i%len(pages)]
+		page, site := pages[i%len(pages)], sites[i%len(pages)]()
 		down, err := trace.Constant(nc.rate, 2000)
 		if err != nil {
 			panic(err)

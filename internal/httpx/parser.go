@@ -32,11 +32,10 @@ const (
 // RequestParser incrementally parses a stream of pipelined HTTP/1.1
 // requests. Feed it raw bytes as they arrive; it emits complete requests.
 type RequestParser struct {
-	buf     bytes.Buffer
-	phase   parsePhase
-	cur     *Request
-	need    int // bytes outstanding for fixed-length or chunk bodies
-	chunked bytes.Buffer
+	buf   bytes.Buffer
+	phase parsePhase
+	cur   *Request
+	need  int // bytes outstanding for fixed-length or chunk bodies
 }
 
 // Feed appends data and returns any requests completed by it.
@@ -81,16 +80,15 @@ func (p *RequestParser) Feed(data []byte) ([]*Request, error) {
 			}
 			out = append(out, p.finishRequest())
 		case phaseBodyChunkSize, phaseBodyChunkData, phaseBodyChunkTrailer:
-			done, ok, err := stepChunk(&p.buf, &p.phase, &p.need, &p.chunked)
+			chunk, done, ok, err := stepChunk(&p.buf, &p.phase, &p.need, len(p.cur.Body))
 			if err != nil {
 				return out, err
 			}
 			if !ok {
 				return out, nil
 			}
+			p.cur.Body = append(p.cur.Body, chunk...)
 			if done {
-				p.cur.Body = append(p.cur.Body, p.chunked.Bytes()...)
-				p.chunked.Reset()
 				out = append(out, p.finishRequest())
 			}
 		}
@@ -118,21 +116,21 @@ type ResponseParser struct {
 	phase   parsePhase
 	cur     *Response
 	need    int
-	chunked bytes.Buffer
+	got     int      // body bytes of cur taken so far
 	methods []string // FIFO of outstanding request methods
 
-	// ReuseBodies makes every parsed response borrow one recycled body
-	// buffer instead of allocating per response: a returned Response's
-	// Body content is then valid only until the parser starts the next
-	// response's body — which can happen within a single Feed call when
-	// pipelined responses complete together, so bodies in one returned
-	// batch share the buffer and only the last one's content survives.
-	// Body lengths are always correct. For consumers that only meter
-	// bodies (the browser model reads lengths, not content) this removes
-	// the dominant per-page allocation; consumers that retain responses
-	// (archiving a recorded site) must leave it off.
-	ReuseBodies bool
-	bodyBuf     []byte
+	// MeterBodies switches the parser to metering mode, for consumers that
+	// read how long bodies are but never what they contain (the browser
+	// model). Every returned Response's Body then has exactly the length
+	// a full parse would give it — Content-Length, the sum of its chunks,
+	// or zero for HEAD, 1xx/204/304 and unframed responses — but no body
+	// byte is copied off the wire: Body is a read-only window onto a
+	// zero-filled buffer that every response of the parser shares, and
+	// its content is unspecified. Consumers that keep bodies (RecordShell's
+	// proxy, archive.ReadExchange) leave it off and get their own copy of
+	// every body.
+	MeterBodies bool
+	zeros       []byte
 }
 
 // Reset returns the parser to its initial state (no partial message, no
@@ -140,22 +138,11 @@ type ResponseParser struct {
 // many sequential connections.
 func (p *ResponseParser) Reset() {
 	p.buf.Reset()
-	p.chunked.Reset()
 	p.phase = phaseHead
 	p.cur = nil
 	p.need = 0
+	p.got = 0
 	p.methods = p.methods[:0]
-}
-
-// body returns the initial body slice for a response of capacity hint n.
-func (p *ResponseParser) body(n int) []byte {
-	if !p.ReuseBodies {
-		return make([]byte, 0, n)
-	}
-	if cap(p.bodyBuf) < n {
-		p.bodyBuf = make([]byte, 0, n)
-	}
-	return p.bodyBuf[:0]
 }
 
 // ExpectMethod queues the method of the next outstanding request, so HEAD
@@ -176,22 +163,39 @@ func (p *ResponseParser) nextMethod() string {
 // Feed appends data and returns any responses completed by it.
 func (p *ResponseParser) Feed(data []byte) ([]*Response, error) {
 	var out []*Response
-	// Fast path: mid-body with an empty reassembly buffer (the steady
-	// state while a large response streams in). Bytes go straight from the
-	// transport into the body, skipping the double copy through buf.
-	for p.phase == phaseBodyLength && p.buf.Len() == 0 && len(data) > 0 {
-		n := p.need
-		if n > len(data) {
-			n = len(data)
+	// Fast path: while nothing is buffered for reassembly, heads and
+	// Content-Length bodies are taken straight from data. This is the
+	// steady state of a streaming response and of a head arriving at a
+	// segment boundary; it skips the copy through buf, which in metering
+	// mode means body bytes are never copied at all.
+	for p.buf.Len() == 0 && len(data) > 0 {
+		if p.phase == phaseBodyLength {
+			n := min(p.need, len(data))
+			p.take(data[:n])
+			p.need -= n
+			data = data[n:]
+			if p.need == 0 {
+				out = append(out, p.finishResponse())
+			}
+			continue
 		}
-		p.cur.Body = append(p.cur.Body, data[:n]...)
-		p.need -= n
-		data = data[n:]
-		if p.need == 0 {
+		if p.phase != phaseHead {
+			break
+		}
+		head, rest, ok := cutHead(data)
+		if !ok {
+			break
+		}
+		done, err := p.beginResponse(head)
+		if err != nil {
+			return out, err
+		}
+		if done {
 			out = append(out, p.finishResponse())
 		}
+		data = rest
 	}
-	if len(data) == 0 && p.phase == phaseBodyLength {
+	if len(data) == 0 {
 		return out, nil
 	}
 	p.buf.Write(data)
@@ -202,39 +206,23 @@ func (p *ResponseParser) Feed(data []byte) ([]*Response, error) {
 			if !ok {
 				return out, nil
 			}
-			resp, err := parseResponseHead(head)
+			done, err := p.beginResponse(head)
 			if err != nil {
 				return out, err
 			}
 			p.consumeTo(rest)
-			p.cur = resp
-			method := p.nextMethod()
-			n, chunked, err := bodyLength(&resp.Header, false, resp.StatusCode)
-			if err != nil {
-				return out, err
-			}
-			if method == "HEAD" {
-				n, chunked = 0, false
-			}
-			switch {
-			case chunked:
-				p.phase = phaseBodyChunkSize
-			case n > 0:
-				p.cur.Body = p.body(n) // sized once; no growth churn
-				p.need = n
-				p.phase = phaseBodyLength
-			default:
+			if done {
 				out = append(out, p.finishResponse())
 			}
 		case phaseBodyLength:
 			// Drain whatever body bytes are buffered immediately — even a
 			// partial body — so the reassembly buffer empties and the
-			// streaming fast path above takes every subsequent Feed.
-			// Leaving the partial body in buf would re-copy it on each
-			// append until the full length arrived (quadratic in body
-			// size for segment-at-a-time transports).
+			// fast path above takes every subsequent Feed. Leaving the
+			// partial body in buf would re-copy it on each append until
+			// the full length arrived (quadratic in body size for
+			// segment-at-a-time transports).
 			if n := min(p.need, p.buf.Len()); n > 0 {
-				p.cur.Body = append(p.cur.Body, p.buf.Next(n)...)
+				p.take(p.buf.Next(n))
 				p.need -= n
 			}
 			if p.need > 0 {
@@ -242,36 +230,78 @@ func (p *ResponseParser) Feed(data []byte) ([]*Response, error) {
 			}
 			out = append(out, p.finishResponse())
 		case phaseBodyChunkSize, phaseBodyChunkData, phaseBodyChunkTrailer:
-			done, ok, err := stepChunk(&p.buf, &p.phase, &p.need, &p.chunked)
+			chunk, done, ok, err := stepChunk(&p.buf, &p.phase, &p.need, p.got)
 			if err != nil {
 				return out, err
 			}
 			if !ok {
 				return out, nil
 			}
+			p.take(chunk)
 			if done {
-				p.cur.Body = append(p.body(p.chunked.Len()), p.chunked.Bytes()...)
-				p.chunked.Reset()
 				// Replace chunked framing with explicit length so the
 				// stored message re-serializes deterministically.
 				p.cur.Header.Del("Transfer-Encoding")
-				p.cur.Header.Set("Content-Length", strconv.Itoa(len(p.cur.Body)))
+				p.cur.Header.Set("Content-Length", strconv.Itoa(p.got))
 				out = append(out, p.finishResponse())
 			}
 		}
 	}
 }
 
+// beginResponse parses a response head and sets up framing for its body.
+// done reports a bodyless response, complete as soon as its head is.
+func (p *ResponseParser) beginResponse(head []byte) (done bool, err error) {
+	resp, err := parseResponseHead(head)
+	if err != nil {
+		return false, err
+	}
+	p.cur = resp
+	method := p.nextMethod()
+	n, chunked, err := bodyLength(&resp.Header, false, resp.StatusCode)
+	if err != nil {
+		return false, err
+	}
+	if method == "HEAD" {
+		n, chunked = 0, false
+	}
+	switch {
+	case chunked:
+		p.phase = phaseBodyChunkSize
+	case n > 0:
+		if !p.MeterBodies {
+			resp.Body = make([]byte, 0, n) // sized once; no growth churn
+		}
+		p.need = n
+		p.phase = phaseBodyLength
+	default:
+		return true, nil
+	}
+	return false, nil
+}
+
+// take adds body bytes to the current response: copied in full mode,
+// only counted in metering mode.
+func (p *ResponseParser) take(b []byte) {
+	p.got += len(b)
+	if !p.MeterBodies {
+		p.cur.Body = append(p.cur.Body, b...)
+	}
+}
+
 func (p *ResponseParser) finishResponse() *Response {
 	resp := p.cur
-	p.cur = nil
-	p.phase = phaseHead
-	if p.ReuseBodies && cap(resp.Body) >= cap(p.bodyBuf) {
-		// Keep the (possibly grown) array for the next response. The cap
-		// guard keeps the pooled buffer across bodyless responses (204,
-		// 304, HEAD), whose nil Body must not discard it.
-		p.bodyBuf = resp.Body[:0]
+	if p.MeterBodies && p.got > 0 {
+		if len(p.zeros) < p.got {
+			p.zeros = make([]byte, p.got)
+		}
+		// The capacity cap makes an append by the consumer reallocate
+		// instead of writing into the shared buffer.
+		resp.Body = p.zeros[:p.got:p.got]
 	}
+	p.cur = nil
+	p.got = 0
+	p.phase = phaseHead
 	return resp
 }
 
@@ -396,14 +426,16 @@ func bodyLength(h *Header, isRequest bool, statusCode int) (n int, chunked bool,
 	return 0, false, nil
 }
 
-// stepChunk advances chunked-body parsing by one state transition.
-// done reports a complete body; ok reports whether progress was possible.
-func stepChunk(buf *bytes.Buffer, phase *parsePhase, need *int, body *bytes.Buffer) (done, ok bool, err error) {
+// stepChunk advances chunked-body parsing by one state transition. have
+// is the body length decoded so far, for the MaxBodySize check. chunk is
+// the payload a data step consumed, valid until buf is next written; done
+// reports a complete body; ok reports whether progress was possible.
+func stepChunk(buf *bytes.Buffer, phase *parsePhase, need *int, have int) (chunk []byte, done, ok bool, err error) {
 	switch *phase {
 	case phaseBodyChunkSize:
 		line, found := takeLine(buf)
 		if !found {
-			return false, false, nil
+			return nil, false, false, nil
 		}
 		// Chunk extensions after ';' are ignored per RFC 7230.
 		if i := strings.IndexByte(line, ';'); i >= 0 {
@@ -411,43 +443,45 @@ func stepChunk(buf *bytes.Buffer, phase *parsePhase, need *int, body *bytes.Buff
 		}
 		size, perr := strconv.ParseInt(strings.TrimSpace(line), 16, 32)
 		if perr != nil || size < 0 {
-			return false, false, fmt.Errorf("%w: chunk size %q", ErrMalformed, line)
+			return nil, false, false, fmt.Errorf("%w: chunk size %q", ErrMalformed, line)
 		}
-		if body.Len()+int(size) > MaxBodySize {
-			return false, false, ErrBodyTooLong
+		if have+int(size) > MaxBodySize {
+			return nil, false, false, ErrBodyTooLong
 		}
 		if size == 0 {
 			*phase = phaseBodyChunkTrailer
-			return false, true, nil
+			return nil, false, true, nil
 		}
 		*need = int(size)
 		*phase = phaseBodyChunkData
-		return false, true, nil
+		return nil, false, true, nil
 	case phaseBodyChunkData:
 		if buf.Len() < *need+2 { // data + CRLF
-			return false, false, nil
+			return nil, false, false, nil
 		}
-		body.Write(buf.Next(*need))
-		crlf := buf.Next(2)
-		if !bytes.Equal(crlf, []byte("\r\n")) {
-			return false, false, fmt.Errorf("%w: chunk not CRLF-terminated", ErrMalformed)
+		b := buf.Bytes()
+		if !bytes.Equal(b[*need:*need+2], []byte("\r\n")) {
+			return nil, false, false, fmt.Errorf("%w: chunk not CRLF-terminated", ErrMalformed)
 		}
+		// Next(n+2) leaves b's bytes in place until buf is written again.
+		chunk = b[:*need]
+		buf.Next(*need + 2)
 		*need = 0
 		*phase = phaseBodyChunkSize
-		return false, true, nil
+		return chunk, false, true, nil
 	case phaseBodyChunkTrailer:
 		line, found := takeLine(buf)
 		if !found {
-			return false, false, nil
+			return nil, false, false, nil
 		}
 		if line == "" {
 			*phase = phaseHead
-			return true, true, nil
+			return nil, true, true, nil
 		}
 		// Trailer field: ignored.
-		return false, true, nil
+		return nil, false, true, nil
 	}
-	return false, false, fmt.Errorf("%w: bad chunk state", ErrMalformed)
+	return nil, false, false, fmt.Errorf("%w: bad chunk state", ErrMalformed)
 }
 
 // takeLine removes and returns one CRLF-terminated line (without CRLF).

@@ -82,16 +82,16 @@ func New(network *nsim.Network, cfg Config) (*Web, error) {
 		return nil, errors.New("inet: nil page")
 	}
 	ns := network.NewNamespace("inet-" + cfg.Page.Name)
+	site := webgen.Materialize(cfg.Page)
 	w := &Web{
 		NS:           ns,
 		Stack:        tcpsim.NewStack(ns),
 		Resolver:     dnssim.NewResolver(cfg.DNSLatency),
-		matcher:      match.New(webgen.Materialize(cfg.Page)),
+		matcher:      match.New(site),
 		rng:          sim.NewRand(cfg.Seed),
 		cfg:          cfg,
 		originOffset: map[nsim.Addr]sim.Time{},
 	}
-	site := webgen.Materialize(cfg.Page)
 	for _, origin := range site.Origins() {
 		ns.AddAddress(origin.Addr)
 		if _, ok := w.originOffset[origin.Addr]; !ok && cfg.OriginSpread > 0 {

@@ -1,6 +1,7 @@
 package recordshell
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/archive"
@@ -103,6 +104,29 @@ func TestRecordPreservesBytes(t *testing.T) {
 		r := &page.Resources[i]
 		if got := byURL[r.Host+r.Path]; got != r.Size {
 			t.Fatalf("resource %s recorded %d bytes, want %d", r.URL(), got, r.Size)
+		}
+	}
+}
+
+// The browser meters bodies without reading them, so a corrupted body
+// would not show in any load result. Recording is a full-body path: the
+// live web serves webgen.Content, and the proxy's parsers must deliver it
+// into the archive byte for byte.
+func TestRecordedBodiesMatchContent(t *testing.T) {
+	page := testPage()
+	rec, _ := recordOnce(t, page)
+	byURL := map[string][]byte{}
+	for _, e := range rec.Site.Exchanges {
+		byURL[e.Request.Host()+e.Request.Target] = e.Response.Body
+	}
+	for i := range page.Resources {
+		r := &page.Resources[i]
+		got, ok := byURL[r.Host+r.Path]
+		if !ok {
+			t.Fatalf("resource %s not recorded", r.URL())
+		}
+		if want := webgen.Content(r); !bytes.Equal(got, want) {
+			t.Fatalf("resource %s: recorded body differs from webgen.Content", r.URL())
 		}
 	}
 }

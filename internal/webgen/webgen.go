@@ -154,12 +154,20 @@ func (p *Page) Validate() error {
 // Content deterministically materializes a resource's body bytes. The
 // pattern embeds the URL so recorded archives are self-describing; byte
 // content does not affect any measurement.
+//
+// After the header, byte i is 'a'+i%26. One period is written at its
+// absolute offsets and then doubled with copy; every copy moves a multiple
+// of 26 bytes, so each byte keeps the letter of its own offset.
 func Content(r *Resource) []byte {
 	header := fmt.Sprintf("<!-- %s %s -->", r.Type, r.URL())
 	body := make([]byte, r.Size)
 	n := copy(body, header)
-	for i := n; i < len(body); i++ {
-		body[i] = byte('a' + (i % 26))
+	fill := body[n:]
+	for i := range min(26, len(fill)) {
+		fill[i] = byte('a' + (n+i)%26)
+	}
+	for done := 26; done < len(fill); done *= 2 {
+		copy(fill[done:], fill[:done])
 	}
 	return body
 }

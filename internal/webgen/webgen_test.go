@@ -1,7 +1,10 @@
 package webgen
 
 import (
+	"bytes"
+	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -132,6 +135,49 @@ func TestContentDeterministicAndSized(t *testing.T) {
 	}
 }
 
+// contentPerByte is the original byte-at-a-time Content fill, kept as the
+// reference the period-doubling fill must reproduce exactly. It writes
+// into buf's storage when large enough.
+func contentPerByte(r *Resource, buf []byte) []byte {
+	header := fmt.Sprintf("<!-- %s %s -->", r.Type, r.URL())
+	if cap(buf) < r.Size {
+		buf = make([]byte, r.Size)
+	}
+	body := buf[:r.Size]
+	n := copy(body, header)
+	for i := n; i < len(body); i++ {
+		body[i] = byte('a' + (i % 26))
+	}
+	return body
+}
+
+func TestContentMatchesPerByteReference(t *testing.T) {
+	// Paths of 1..30 bytes move the header length through every residue
+	// mod 26, and sizes 0..300 cover bodies shorter than the header, one
+	// partial period, and several doublings.
+	for plen := 1; plen <= 30; plen++ {
+		for size := 0; size <= 300; size++ {
+			r := &Resource{Scheme: "http", Host: "h.com", Path: "/" + strings.Repeat("p", plen-1), Type: CSS, Size: size}
+			if got, want := Content(r), contentPerByte(r, nil); !bytes.Equal(got, want) {
+				t.Fatalf("path %q size %d:\n got %q\nwant %q", r.Path, size, got, want)
+			}
+		}
+	}
+}
+
+func TestContentMatchesPerByteReferenceOnCorpus(t *testing.T) {
+	var want []byte
+	for _, page := range GenerateCorpus(1, PaperCorpus()) {
+		for i := range page.Resources {
+			r := &page.Resources[i]
+			want = contentPerByte(r, want)
+			if !bytes.Equal(Content(r), want) {
+				t.Fatalf("%s (%d bytes): Content differs from the per-byte reference", r.URL(), r.Size)
+			}
+		}
+	}
+}
+
 func TestMaterializeMatchesPage(t *testing.T) {
 	page := GeneratePage(sim.NewRand(6), NYTimesLike())
 	site := Materialize(page)
@@ -228,5 +274,16 @@ func TestOriginAddressesDistinctWithinPage(t *testing.T) {
 	}
 	if len(seen) != 60 {
 		t.Fatalf("distinct origin addresses = %d, want 60", len(seen))
+	}
+}
+
+// BenchmarkMaterialize builds the replay archive of one CNBC-like page per
+// op: request and response construction plus every body fill.
+func BenchmarkMaterialize(b *testing.B) {
+	page := GeneratePage(sim.NewRand(1), CNBCLike())
+	b.SetBytes(int64(page.TotalBytes()))
+	b.ReportAllocs()
+	for b.Loop() {
+		Materialize(page)
 	}
 }
