@@ -395,8 +395,9 @@ func BenchmarkPageLoad(b *testing.B) {
 // are expected to stay at (or very near) zero allocs/op in steady state.
 
 // BenchmarkLoopSchedule measures the scheduling primitive every simulated
-// packet, timer, and browser event goes through, under each scheduler
-// (sub-benchmark wheel = default calendar queue, heap = PR2 ablation).
+// packet, timer, and browser event goes through, on the calendar-queue
+// scheduler at two queue depths (wheel: a page load's; wheel-standing12k:
+// a 10k-flow cell's).
 //
 // What one "op" covers: scheduling 64 events onto a warmed loop that
 // already holds a standing population of 1200 future events spread over

@@ -2,11 +2,11 @@
 //
 //	mm-bench -exp all                  # everything (several minutes)
 //	mm-bench -exp fig2 -sites 50       # one artifact, subsampled corpus
-//	mm-bench -exp all -parallel 8      # fan cells across 8 workers
+//	mm-bench -exp all -parallel 8      # fan cells across 8 engine shards
 //	mm-bench -exp sweep -delays 30,120,300 -rates 1,14,25 -trials 3
-//	mm-bench -exp contention -flows 1000 -shards 8 -mix 6:1:3
-//	mm-bench -exp dynamics -shards 4   # scripted link faults x AQM grid
-//	mm-bench -exp scaling -shards 4    # 1-vs-N engine speedup + skew smoke
+//	mm-bench -exp contention -flows 1000 -parallel 8 -mix 6:1:3
+//	mm-bench -exp dynamics -parallel 4   # scripted link faults x AQM grid
+//	mm-bench -exp scaling -parallel 4    # 1-vs-N engine speedup + skew smoke
 //	mm-bench -exp linkchar             # link character x impairment grid
 //
 // Experiments: fig2, table1, table2, fig3, servers, isolation,
@@ -14,13 +14,12 @@
 // Results print in the paper's layout with the paper's numbers alongside;
 // EXPERIMENTS.md records a reference run.
 //
-// Every experiment runs through the parallel scenario-matrix engine
-// (internal/experiments): -parallel N fans the site x shell-stack x seed
-// cells across N workers, and per-cell seeds are derived from cell
-// coordinates, so output is byte-identical at every N. The many-flow
-// experiments (contention, dynamics, scaling) run on the sharded engine
-// instead, where -shards sets the lane count and work stealing rebalances
-// cells without moving a byte.
+// Every experiment runs its cells on the sharded engine (internal/engine):
+// -parallel N fans the site x shell-stack x seed cells across N shards,
+// work stealing rebalances them, and per-cell seeds are derived from cell
+// coordinates, so output is byte-identical at every N. The scaling smoke
+// compares 1 shard against -parallel shards (4 when -parallel is not
+// given).
 //
 // -schedstats writes event-queue occupancy aggregated over every
 // simulation loop in the run: queue depth, the now-queue fast path and
@@ -46,7 +45,7 @@ func main() {
 	exp := flag.String("exp", "all", "experiment: fig2|table1|table2|fig3|servers|isolation|bufferbloat|linkchar|contention|dynamics|scaling|sweep|all")
 	sites := flag.Int("sites", 0, "override corpus size (0 = experiment default)")
 	loads := flag.Int("loads", 0, "override load count (0 = experiment default)")
-	parallel := flag.Int("parallel", 1, "engine workers (0 = GOMAXPROCS); output is identical at any value")
+	parallel := flag.Int("parallel", 1, "engine shards (0 = GOMAXPROCS); output is identical at any value")
 	seed := flag.Uint64("seed", 0, "override root seed (0 = experiment default)")
 	delays := flag.String("delays", "", "sweep: comma-separated one-way delays in ms (default 30,120)")
 	rates := flag.String("rates", "", "sweep: comma-separated link rates in Mbit/s (default 14)")
@@ -54,7 +53,6 @@ func main() {
 	trials := flag.Int("trials", 0, "sweep: jittered loads per (site, stack) cell (0 = default)")
 	bulkMB := flag.Int("bulk-mb", 0, "bufferbloat/linkchar: bulk flow size in MB (0 = experiment default)")
 	flows := flag.Int("flows", 0, "contention: flows per cell (0 = default 96)")
-	shards := flag.Int("shards", 0, "contention/dynamics: engine shards (0 = default 1, -1 = GOMAXPROCS); output is identical at any value")
 	mix := flag.String("mix", "", "contention: web:bulk:rpc flow ratio (default 6:1:3)")
 	reps := flag.Int("reps", 0, "scaling: repetitions per arm, oracle-primed after the first (0 = default 3)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
@@ -182,9 +180,7 @@ func main() {
 		if *flows > 0 {
 			cfg.Flows = *flows
 		}
-		if *shards != 0 {
-			cfg.Shards = *shards // -1 maps to <=0: engine.New uses GOMAXPROCS
-		}
+		cfg.Parallel = *parallel
 		if *mix != "" {
 			m, err := engine.ParseMix(*mix)
 			if err != nil {
@@ -201,9 +197,7 @@ func main() {
 	run("dynamics", func() {
 		cfg := experiments.DefaultDynamics()
 		cfg.Seed = rootSeed(*seed, cfg.Seed)
-		if *shards != 0 {
-			cfg.Shards = *shards // -1 maps to <=0: engine.New uses GOMAXPROCS
-		}
+		cfg.Parallel = *parallel
 		res := experiments.Dynamics(cfg)
 		fmt.Println(res)
 		fmt.Println(res.Placement)
@@ -221,9 +215,11 @@ func main() {
 			}
 			cfg.Contention.Mix = m
 		}
-		if *shards != 0 {
-			cfg.Shards = *shards
-		}
+		flag.Visit(func(f *flag.Flag) { // the parallel arm defaults to 4, not -parallel's 1
+			if f.Name == "parallel" {
+				cfg.Parallel = *parallel
+			}
+		})
 		if *reps > 0 {
 			cfg.Reps = *reps
 		}

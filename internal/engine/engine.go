@@ -3,20 +3,21 @@
 // event loop and private object pools, and runs every shard to completion
 // with zero cross-shard locking on the packet/event path.
 //
-// The experiments package's Runner already parallelizes scenario matrices,
-// but its unit of state reuse is a sync.Pool'd Scratch: which warmed pools a
-// cell draws is scheduling-dependent, and a cell's work cannot be pinned to
-// a core. The engine makes the partitioning itself deterministic, in the
-// style NetChain assigns keys to chain replicas by consistent hashing: a
-// cell's shard is a pure function of its label and the shard count, never of
-// execution timing. Within a shard, cells run sequentially (run to
-// completion) on the shard's own sim.Loop, nsim.PoolSet, tcpsim.SegmentPool
-// and tcpsim.ConnPool, so the hot path touches no shared mutable state and
-// needs no synchronization; the only cross-shard communication is each
-// cell's result landing in its own slot of the output slice. Results
-// therefore merge order-free: an artifact assembled from the index-aligned
-// output is byte-identical at any shard count, which the determinism suite
-// verifies at 1, 2 and 8 shards.
+// It is the one cell executor: every experiment in internal/experiments,
+// from the paper's page-load matrices to the many-flow contention grid,
+// runs its cells through Engine.Run. The unit of state reuse is the shard,
+// not a pooled scratch object handed to whichever goroutine asks first, so
+// which warmed pools serve a cell is planned, not scheduling-dependent. The
+// partitioning is deterministic in the style NetChain assigns keys to chain
+// replicas by consistent hashing: a cell's shard is a pure function of its
+// label and the shard count, never of execution timing. Within a shard,
+// cells run sequentially (run to completion) on the shard's own sim.Loop,
+// nsim.PoolSet, tcpsim.SegmentPool and tcpsim.ConnPool, so the hot path
+// touches no shared mutable state and needs no synchronization; the only
+// cross-shard communication is each cell's result landing in its own slot
+// of the output slice. Results therefore merge order-free: an artifact
+// assembled from the index-aligned output is byte-identical at any shard
+// count, which the determinism suite verifies at 1, 2 and 8 shards.
 //
 // Placement is two-level. Level 1 plans: with a cost oracle (per-label event
 // counts retained from the engine's previous Run, or primed via Prime) the
@@ -126,8 +127,8 @@ func (sh *Shard) Scratch(key string, mk func() any) any {
 	return v
 }
 
-// Engine is a fixed set of shards. The zero shard count convention follows
-// Runner.Parallel: <= 0 means GOMAXPROCS(0).
+// Engine is a fixed set of shards. A shard count <= 0 means GOMAXPROCS(0),
+// the same convention as every experiment config's Parallel field.
 type Engine struct {
 	shards    []*Shard
 	placement Placement

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -57,6 +58,38 @@ func TestEngineRunIndexAligned(t *testing.T) {
 		if oracle := e.Placement().Oracle; oracle != (pass == "warm") {
 			t.Fatalf("%s: placement oracle = %v", pass, oracle)
 		}
+	}
+}
+
+// TestEngineRunActuallyFansOut checks that with more than one shard at
+// least two cells run at the same time. Shards claim and steal through
+// shared cursors, so under the race of a fast first worker this could in
+// principle flake; the barrier cell forces overlap: each cell blocks until
+// two are in flight, so a second worker must claim one of the cells still
+// queued.
+func TestEngineRunActuallyFansOut(t *testing.T) {
+	var inflight, peak atomic.Int64
+	var release sync.Once
+	block := make(chan struct{})
+	cells := []string{"a", "b", "c", "d"}
+	New(4).Run(Job{Cells: cells, Run: func(*Shard, int, string) any {
+		n := inflight.Add(1)
+		for {
+			p := peak.Load()
+			if n <= p || peak.CompareAndSwap(p, n) {
+				break
+			}
+		}
+		if n == 2 {
+			// Two cells are in flight simultaneously: release everyone.
+			release.Do(func() { close(block) })
+		}
+		<-block
+		inflight.Add(-1)
+		return nil
+	}})
+	if peak.Load() < 2 {
+		t.Fatalf("peak concurrent cells = %d, want >= 2", peak.Load())
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/archive"
 	"repro/internal/browser"
+	"repro/internal/engine"
 	"repro/internal/netem"
 	"repro/internal/nsim"
 	"repro/internal/replayshell"
@@ -32,7 +33,7 @@ import (
 type BufferbloatConfig struct {
 	// Seed roots the scenario matrix and the cellular trace synthesis.
 	Seed uint64
-	// Parallel is the engine worker count (see Runner.Parallel).
+	// Parallel is the engine shard count (<= 0: GOMAXPROCS).
 	Parallel int
 	// BulkBytes is the competing long flow's payload size.
 	BulkBytes int
@@ -200,12 +201,12 @@ func Bufferbloat(cfg BufferbloatConfig) BufferbloatResult {
 			m.Cells = append(m.Cells, Cell{Site: "bloat", Shell: l.name + "+" + spec.String()})
 		}
 	}
-	m.Run = func(i int, c Cell, seed uint64) []float64 {
+	m.Run = func(sh *engine.Shard, i int, c Cell, seed uint64) []float64 {
 		l := links[i/len(qdiscs)]
 		spec := qdiscs[i%len(qdiscs)]
-		return bufferbloatCell(cfg, page, site, payload, l.up, l.down, spec)
+		return bufferbloatCell(sh, cfg, page, site, payload, l.up, l.down, spec)
 	}
-	results := NewRunner(cfg.Parallel).Run(m)
+	results := m.run(cfg.Parallel)
 
 	target := cfg.Target
 	if target <= 0 {
@@ -246,9 +247,9 @@ func Bufferbloat(cfg BufferbloatConfig) BufferbloatResult {
 // bufferbloatCell runs one cell: a page load over a shaped link whose
 // downlink qdisc is spec, while a bulk flow from a sink namespace behind
 // the replay servers saturates the same link.
-func bufferbloatCell(cfg BufferbloatConfig, page *webgen.Page, site *archive.Site,
+func bufferbloatCell(sh *engine.Shard, cfg BufferbloatConfig, page *webgen.Page, site *archive.Site,
 	payload []byte, up, down *trace.Trace, spec netem.QdiscSpec) []float64 {
-	loop := sim.NewLoop()
+	loop := sh.Loop()
 	network := nsim.NewNetwork(loop)
 	replay, err := replayshell.New(network, replayshell.Config{
 		Site: site, DNSLatency: sim.Millisecond, RequestCPU: DefaultRequestCPU,

@@ -18,15 +18,15 @@ import (
 // hundreds-to-thousands of flows share the bottleneck — the many-user axis
 // of the ROADMAP's north star. Cells run on the sharded engine: each cell
 // is deterministic given its label-derived seed, so the artifact is
-// byte-identical at any Shards value.
+// byte-identical at any Parallel value.
 type ContentionConfig struct {
 	// Seed roots every cell's random streams and the cellular trace.
 	Seed uint64
 	// Flows is the per-cell flow population; Mix its class ratio.
 	Flows int
 	Mix   engine.Mix
-	// Shards is the engine shard count (<= 0: GOMAXPROCS).
-	Shards int
+	// Parallel is the engine shard count (<= 0: GOMAXPROCS).
+	Parallel int
 	// Profile primes the engine's cost oracle with per-label event counts
 	// from an earlier run (Placement.Profile()), so even the first fan-out
 	// plans weight-aware LPT instead of the cold label hash.
@@ -52,7 +52,7 @@ func DefaultContention() ContentionConfig {
 		Seed:        17,
 		Flows:       96,
 		Mix:         engine.Mix{Web: 6, Bulk: 1, RPC: 3},
-		Shards:      1,
+		Parallel:    1,
 		BulkBytes:   256 << 10,
 		OneWayDelay: 20 * sim.Millisecond,
 		DeepPackets: 600, ShallowPackets: 32,
@@ -80,7 +80,7 @@ type ContentionSweepResult struct {
 // Contention runs the grid on the sharded engine. Each cell's spec derives
 // its seed from the root seed and the cell label alone, and each cell runs
 // to completion on whichever shard ShardFor assigns it; results land
-// index-aligned, so the rendered artifact does not depend on Shards.
+// index-aligned, so the rendered artifact does not depend on Parallel.
 func Contention(cfg ContentionConfig) ContentionSweepResult {
 	bbcfg := BufferbloatConfig{
 		DeepPackets: cfg.DeepPackets, ShallowPackets: cfg.ShallowPackets,
@@ -113,7 +113,7 @@ func Contention(cfg ContentionConfig) ContentionSweepResult {
 			cells = append(cells, l.name+"+"+spec.String())
 		}
 	}
-	e := engine.New(cfg.Shards)
+	e := engine.New(cfg.Parallel)
 	e.Prime(cfg.Profile)
 	out := e.Run(engine.Job{Cells: cells, Run: func(sh *engine.Shard, cell int, label string) any {
 		l := links[cell/len(qdiscs)]

@@ -48,18 +48,3 @@ func TestContentionGridShapeAndCompletion(t *testing.T) {
 		}
 	}
 }
-
-func TestContentionArtifactShardInvariant(t *testing.T) {
-	render := func(shards int) string {
-		cfg := quickContention()
-		cfg.Shards = shards
-		return Contention(cfg).String()
-	}
-	want := render(1)
-	for _, shards := range []int{2, 8} {
-		if got := render(shards); got != want {
-			t.Fatalf("artifact differs between 1 and %d shards:\n--- 1 ---\n%s--- %d ---\n%s",
-				shards, want, shards, got)
-		}
-	}
-}

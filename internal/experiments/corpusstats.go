@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/webgen"
@@ -27,12 +28,12 @@ func ServersPerSite(seed uint64, sites, parallel int) ServersResult {
 	for i := range pages {
 		m.Cells = append(m.Cells, Cell{Site: siteLabel(i), Shell: "none"})
 	}
-	m.Run = func(i int, c Cell, _ uint64) []float64 {
+	m.Run = func(_ *engine.Shard, i int, c Cell, _ uint64) []float64 {
 		return []float64{float64(pages[i].ServerCount())}
 	}
 	counts := stats.NewAccumulator()
 	single := 0
-	for _, vals := range NewRunner(parallel).Run(m) {
+	for _, vals := range m.run(parallel) {
 		counts.Add(vals...)
 		if vals[0] == 1 {
 			single++

@@ -1,20 +1,19 @@
 package experiments
 
 import (
-	"crypto/sha256"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
 )
 
 // artifacts renders a subsampled version of every experiment artifact
-// (the same set mm-bench regenerates: fig2, table1, table2, fig3,
-// isolation, sweep) at a given engine parallelism.
+// mm-bench regenerates at a given engine parallelism.
 var artifacts = map[string]func(parallel int) string{
 	"fig2": func(parallel int) string {
 		cfg := Fig2Config{
-			Sites: 10, Seed: 1,
+			Sites: 12, Seed: 1,
 			DelayForwarding: 30 * sim.Microsecond,
 			LinkForwarding:  250 * sim.Microsecond,
 			Parallel:        parallel,
@@ -23,13 +22,13 @@ var artifacts = map[string]func(parallel int) string{
 	},
 	"table1": func(parallel int) string {
 		cfg := DefaultTable1()
-		cfg.Loads = 4
+		cfg.Loads = 6
 		cfg.Parallel = parallel
 		return Table1(cfg).String()
 	},
 	"table2": func(parallel int) string {
 		cfg := Table2Config{
-			Sites: 6, Seed: 2,
+			Sites: 8, Seed: 2,
 			Delays:   []sim.Time{30 * sim.Millisecond},
 			Rates:    []int64{1_000_000, 25_000_000},
 			Parallel: parallel,
@@ -38,7 +37,7 @@ var artifacts = map[string]func(parallel int) string{
 	},
 	"fig3": func(parallel int) string {
 		cfg := Fig3Config{
-			Loads: 4, Seed: 3,
+			Loads: 6, Seed: 3,
 			MinRTTBase: 20 * sim.Millisecond, MinRTTSpread: 20 * sim.Millisecond,
 			Parallel: parallel,
 		}
@@ -49,7 +48,7 @@ var artifacts = map[string]func(parallel int) string{
 	},
 	"sweep": func(parallel int) string {
 		cfg := DefaultSweep()
-		cfg.Sites = 4
+		cfg.Sites = 6
 		cfg.Parallel = parallel
 		return Sweep(cfg).String()
 	},
@@ -74,15 +73,14 @@ var artifacts = map[string]func(parallel int) string{
 	},
 	// The contention cells run the many-flow engine workload — hundreds of
 	// pooled tcpsim conns, Pareto web sizes, per-class Poisson arrivals,
-	// per-flow sojourn attribution — under the same contract. Parallelism
-	// here is engine shards (run-to-completion cells on private loops and
-	// pools), not matrix workers, so this is also the shard-count check
-	// for the sharded engine itself, work stealing included.
+	// per-flow sojourn attribution — under the same contract. This is also
+	// the shard-count check for the contention workload on the engine,
+	// work stealing included.
 	"contention": func(parallel int) string {
 		cfg := DefaultContention()
 		cfg.Flows = 24
 		cfg.BulkBytes = 64 << 10
-		cfg.Shards = parallel
+		cfg.Parallel = parallel
 		return Contention(cfg).String()
 	},
 	// The dynamics cells run the chaos scheduler: scripted mid-load link
@@ -94,7 +92,7 @@ var artifacts = map[string]func(parallel int) string{
 	// shard counts.
 	"dynamics": func(parallel int) string {
 		cfg := DefaultDynamics()
-		cfg.Shards = parallel
+		cfg.Parallel = parallel
 		return Dynamics(cfg).String()
 	},
 	// The linkchar cells put the impairment vocabulary — reorder holds on
@@ -124,21 +122,37 @@ func TestArtifactParallelDeterminism(t *testing.T) {
 
 	for _, name := range names {
 		render := artifacts[name]
-		var goldenHash [32]byte
-		for i, parallel := range parallelLevels {
-			out := render(parallel)
-			if out == "" {
-				t.Fatalf("%s: empty artifact (parallel=%d)", name, parallel)
-			}
-			h := sha256.Sum256([]byte(out))
-			if i == 0 {
-				goldenHash = h
+		base := parallelLevels[0]
+		want := render(base)
+		if want == "" {
+			t.Fatalf("%s: empty artifact (parallel=%d)", name, base)
+		}
+		for _, parallel := range parallelLevels[1:] {
+			got := render(parallel)
+			if got == want {
 				continue
 			}
-			if h != goldenHash {
-				t.Errorf("%s: artifact hash %x at parallel=%d differs from %x at parallel=%d",
-					name, h[:8], parallel, goldenHash[:8], parallelLevels[0])
-			}
+			line, w, g := firstDiffLine(want, got)
+			t.Errorf("%s: artifact differs at line %d between parallel=%d and parallel=%d:\n  parallel=%d: %q\n  parallel=%d: %q",
+				name, line, base, parallel, base, w, parallel, g)
+		}
+	}
+}
+
+// firstDiffLine returns the first line (1-based) where a and b differ and
+// that line of each; a missing line reads as "".
+func firstDiffLine(a, b string) (int, string, string) {
+	la, lb := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; ; i++ {
+		var x, y string
+		if i < len(la) {
+			x = la[i]
+		}
+		if i < len(lb) {
+			y = lb[i]
+		}
+		if x != y || i >= len(la) || i >= len(lb) {
+			return i + 1, x, y
 		}
 	}
 }

@@ -27,8 +27,8 @@ import (
 type DynamicsConfig struct {
 	// Seed roots the page synthesis and the handover cell's LTE trace.
 	Seed uint64
-	// Shards is the sharded engine's lane count (<= 0 = GOMAXPROCS).
-	Shards int
+	// Parallel is the sharded engine's lane count (<= 0 = GOMAXPROCS).
+	Parallel int
 	// Profile primes the cost oracle with an earlier run's
 	// Placement.Profile(); it cannot move a number in the artifact.
 	Profile engine.Profile
@@ -67,7 +67,7 @@ func DefaultDynamics() DynamicsConfig {
 		MutateAt:        1 * sim.Second,
 		LossClearAt:     3 * sim.Second,
 		ResponseTimeout: 20 * sim.Second,
-		Shards:          1,
+		Parallel:        1,
 	}
 }
 
@@ -145,7 +145,7 @@ func Dynamics(cfg DynamicsConfig) DynamicsResult {
 		"aqmswap-flush+droptail",
 	)
 
-	e := engine.New(cfg.Shards)
+	e := engine.New(cfg.Parallel)
 	e.Prime(cfg.Profile)
 	out := e.Run(engine.Job{Cells: cells, Run: func(sh *engine.Shard, cell int, label string) any {
 		scenario := label[:strings.IndexByte(label, '+')]

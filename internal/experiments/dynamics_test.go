@@ -100,22 +100,6 @@ func TestDynamicsRecoveryContracts(t *testing.T) {
 	}
 }
 
-// TestDynamicsShardInvariance is the tentpole's determinism claim in its
-// sharpest local form: the artifact — transition instants, drain
-// accounting, epoch counters, PLTs — is byte-identical at 1, 3 and 8
-// shards. (The cross-scheduler × parallelism matrix re-checks this under
-// -race in the determinism suite.)
-func TestDynamicsShardInvariance(t *testing.T) {
-	cfg := DefaultDynamics()
-	golden := Dynamics(cfg).String()
-	for _, shards := range []int{3, 8} {
-		cfg.Shards = shards
-		if got := Dynamics(cfg).String(); got != golden {
-			t.Fatalf("artifact differs at %d shards:\n%s\n--- want ---\n%s", shards, got, golden)
-		}
-	}
-}
-
 // TestDynamicsRequiresResponseTimeout: the no-hang contract is enforced at
 // the door — a config that disables the browser deadline is refused.
 func TestDynamicsRequiresResponseTimeout(t *testing.T) {

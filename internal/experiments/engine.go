@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 
+	"repro/internal/engine"
 	"repro/internal/sim"
 )
 
@@ -41,19 +42,19 @@ func (c Cell) String() string {
 
 // Matrix is a declarative scenario matrix: the full list of cells an
 // experiment must run, plus the function that runs one cell. Every figure
-// and table driver in this package declares its work as a Matrix and hands
-// it to a Runner; the copy-pasted per-driver loop scaffolding this
-// replaces lives in the drivers' git history.
+// and table driver in this package declares its work as a Matrix and runs
+// it on the sharded cell executor (internal/engine) through Matrix.run.
 //
 // Run must be pure up to its arguments: it may not mutate state shared
-// with other cells (each call builds its own sim.Loop and network;
-// cross-cell inputs like generated pages, materialized sites and parsed
-// traces are shared but immutable once built, see materializeAll), and
-// all randomness must come from generators seeded with the supplied seed.
-// Under those conditions the matrix's results are bit-identical at any
-// parallelism level.
+// with other cells (each call simulates on the shard's reset loop and
+// pools; cross-cell inputs like generated pages, materialized sites and
+// parsed traces are shared but immutable once built, see materializeAll),
+// and all randomness must come from generators seeded with the supplied
+// seed. Under those conditions the matrix's results are bit-identical at
+// any parallelism level and under any cell placement.
 type Matrix struct {
-	// Name labels the experiment for diagnostics.
+	// Name labels the experiment. It prefixes every cell's engine label,
+	// which keeps experiments apart in the engine's cost oracle.
 	Name string
 	// RootSeed is the experiment's root seed; every cell's seed is derived
 	// from it via Cell.Seed.
@@ -63,73 +64,53 @@ type Matrix struct {
 	// step that folds cell results into figures and tables sees them in
 	// this fixed order regardless of execution interleaving.
 	Cells []Cell
-	// Run executes cell i and returns its measurement values (e.g. one
-	// PLT, or several related arms measured together). i is the cell's
-	// index in Cells and seed is Cells[i].Seed(RootSeed), precomputed by
-	// the engine.
-	Run func(i int, c Cell, seed uint64) []float64
+	// Run executes cell i on shard sh and returns its measurement values
+	// (e.g. one PLT, or several related arms measured together). i is the
+	// cell's index in Cells and seed is Cells[i].Seed(RootSeed). The shard
+	// supplies the loop and pools the cell simulates on; pass it on as
+	// LoadSpec.Shard.
+	Run func(sh *engine.Shard, i int, c Cell, seed uint64) []float64
 }
 
-// Runner executes scenario matrices across a pool of worker goroutines.
-//
-// Determinism guarantee: for a Matrix whose Run function is pure (see
-// Matrix.Run), the slice returned by Run is identical — byte for byte,
-// once formatted — for every Parallel value, because (1) each cell's seed
-// is derived from its coordinates alone, (2) cells share no state, and
-// (3) results are written to the index-aligned slot of the cell that
-// produced them, never appended in completion order.
-type Runner struct {
-	// Parallel is the worker-goroutine count. Zero or negative means
-	// GOMAXPROCS(0); one runs the matrix sequentially on the calling
-	// goroutine.
-	Parallel int
-}
-
-// NewRunner returns a Runner with the given parallelism (see
-// Runner.Parallel for the zero convention).
-func NewRunner(parallel int) *Runner { return &Runner{Parallel: parallel} }
-
-// workers resolves Parallel to an effective worker count.
-func (r *Runner) workers() int {
-	n := r.Parallel
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
+// run executes every cell of the matrix on a pooled engine of the given
+// width (<= 0: GOMAXPROCS) and returns their values index-aligned with
+// m.Cells. Cell labels are Name/Site/Shell/Trial; seeds derive from the
+// cell coordinates alone, never from the shard that runs the cell.
+func (m *Matrix) run(parallel int) [][]float64 {
+	labels := make([]string, len(m.Cells))
+	for i, c := range m.Cells {
+		labels[i] = m.Name + "/" + c.String()
 	}
-	return n
-}
-
-// Run executes every cell of the matrix and returns their values
-// index-aligned with m.Cells. Cells are dispatched to min(Parallel,
-// len(Cells)) workers through a shared index channel; with Parallel == 1
-// no goroutines are spawned at all.
-func (r *Runner) Run(m *Matrix) [][]float64 {
-	results := make([][]float64, len(m.Cells))
-	n := r.workers()
-	if n > len(m.Cells) {
-		n = len(m.Cells)
+	e := takeEngine(parallel)
+	defer engines.Put(e)
+	out := e.Run(engine.Job{Cells: labels, Run: func(sh *engine.Shard, i int, _ string) any {
+		c := m.Cells[i]
+		return m.Run(sh, i, c, c.Seed(m.RootSeed))
+	}})
+	results := make([][]float64, len(out))
+	for i, v := range out {
+		results[i] = v.([]float64)
 	}
-	if n <= 1 {
-		for i, c := range m.Cells {
-			results[i] = m.Run(i, c, c.Seed(m.RootSeed))
-		}
-		return results
-	}
-	indices := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range indices {
-				c := m.Cells[i]
-				results[i] = m.Run(i, c, c.Seed(m.RootSeed))
-			}
-		}()
-	}
-	for i := range m.Cells {
-		indices <- i
-	}
-	close(indices)
-	wg.Wait()
 	return results
+}
+
+// engines recycles engines across driver calls and nil-shard Loads. Warm
+// worker state must outlive one driver call: a fresh engine per call
+// regrows every shard's loop, packet pools and browser parsers, which cost
+// Figure 2 about a fifth of its throughput (see DESIGN.md). sync.Pool hands
+// an engine to one goroutine at a time, so concurrent callers never share
+// a shard.
+var engines sync.Pool
+
+// takeEngine returns a pooled engine with the given width (<= 0:
+// GOMAXPROCS), or a new one when the pool holds none of that width. The
+// caller returns it with engines.Put.
+func takeEngine(parallel int) *engine.Engine {
+	if parallel <= 0 {
+		parallel = runtime.GOMAXPROCS(0)
+	}
+	if e, ok := engines.Get().(*engine.Engine); ok && e.NumShards() == parallel {
+		return e
+	}
+	return engine.New(parallel)
 }

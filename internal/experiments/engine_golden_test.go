@@ -43,22 +43,23 @@ func TestContentionGoldenAcrossSchedulingModes(t *testing.T) {
 	}
 	for _, shards := range []int{1, 2, 8} {
 		cfg := base
-		cfg.Shards = shards
+		cfg.Parallel = shards
 		run("steal-cold", cfg)
 	}
 	// Oracle-primed LPT run: profile from a cold run feeds the next one.
 	cold := base
-	cold.Shards = 4
+	cold.Parallel = 4
 	profiled := Contention(cold)
 	primed := base
-	primed.Shards = 4
+	primed.Parallel = 4
 	primed.Profile = profiled.Placement.Profile()
 	run("steal-primed", primed)
 }
 
 // TestDynamicsGoldenAcrossSchedulingModes does the same for the chaos
 // scheduler grid: scripted fault transcripts and queue epochs are pinned to
-// the pre-stealing bytes under hash and LPT placement with stealing.
+// the pre-stealing bytes under hash and LPT placement with stealing, at
+// 1, 2, 3 and 8 shards.
 // (The golden file was re-captured once after duplicate-ACK counting was
 // tightened to RFC 6675 — the chaos grid's loss epochs exercise fast
 // retransmit, so its transcript moved with the fix.)
@@ -72,16 +73,16 @@ func TestDynamicsGoldenAcrossSchedulingModes(t *testing.T) {
 				name, clip(got), clip(want))
 		}
 	}
-	for _, shards := range []int{1, 2, 8} {
+	for _, shards := range []int{1, 2, 3, 8} {
 		cfg := DefaultDynamics()
-		cfg.Shards = shards
+		cfg.Parallel = shards
 		run("steal-cold", cfg)
 	}
 	cold := DefaultDynamics()
-	cold.Shards = 4
+	cold.Parallel = 4
 	profiled := Dynamics(cold)
 	primed := DefaultDynamics()
-	primed.Shards = 4
+	primed.Parallel = 4
 	primed.Profile = profiled.Placement.Profile()
 	run("steal-primed", primed)
 }

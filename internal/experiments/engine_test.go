@@ -3,87 +3,30 @@ package experiments
 import (
 	"bytes"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/archive"
+	"repro/internal/engine"
 	"repro/internal/sim"
 	"repro/internal/webgen"
 )
 
-// TestRunnerIndexAlignment checks results land in the slot of the cell
-// that produced them, not in completion order.
-func TestRunnerIndexAlignment(t *testing.T) {
-	m := &Matrix{Name: "align", RootSeed: 1}
-	for i := 0; i < 64; i++ {
-		m.Cells = append(m.Cells, Cell{Site: siteLabel(i), Shell: "s", Trial: i})
-	}
-	m.Run = func(i int, c Cell, seed uint64) []float64 {
-		return []float64{float64(i), float64(c.Trial)}
-	}
-	for _, parallel := range []int{1, 3, 8, 100} {
-		results := NewRunner(parallel).Run(m)
-		if len(results) != len(m.Cells) {
-			t.Fatalf("parallel=%d: %d results for %d cells", parallel, len(results), len(m.Cells))
-		}
-		for i, vals := range results {
-			if vals[0] != float64(i) || vals[1] != float64(i) {
-				t.Fatalf("parallel=%d: slot %d holds cell %v/%v", parallel, i, vals[0], vals[1])
-			}
-		}
-	}
-}
-
-// TestRunnerSeedsMatchCells checks the engine hands each Run call exactly
+// TestMatrixSeedsMatchCells checks the engine hands each Run call exactly
 // Cells[i].Seed(RootSeed), at every parallelism.
-func TestRunnerSeedsMatchCells(t *testing.T) {
+func TestMatrixSeedsMatchCells(t *testing.T) {
 	m := &Matrix{Name: "seeds", RootSeed: 99}
 	for i := 0; i < 32; i++ {
 		m.Cells = append(m.Cells, Cell{Site: "site", Shell: "shell", Trial: i})
 	}
-	m.Run = func(i int, c Cell, seed uint64) []float64 {
+	m.Run = func(_ *engine.Shard, i int, c Cell, seed uint64) []float64 {
 		if want := c.Seed(99); seed != want {
 			t.Errorf("cell %d: engine seed %#x, want %#x", i, seed, want)
 		}
 		return nil
 	}
 	for _, parallel := range []int{1, 4} {
-		NewRunner(parallel).Run(m)
-	}
-}
-
-// TestRunnerActuallyFansOut checks that with Parallel > 1 more than one
-// worker goroutine participates (the workers draw from a shared channel,
-// so under the race of a fast first worker this could in principle flake;
-// the barrier cell forces overlap).
-func TestRunnerActuallyFansOut(t *testing.T) {
-	var inflight, peak atomic.Int64
-	var release sync.Once
-	block := make(chan struct{})
-	m := &Matrix{Name: "fanout"}
-	for i := 0; i < 4; i++ {
-		m.Cells = append(m.Cells, Cell{Site: siteLabel(i)})
-	}
-	m.Run = func(i int, c Cell, seed uint64) []float64 {
-		n := inflight.Add(1)
-		for {
-			p := peak.Load()
-			if n <= p || peak.CompareAndSwap(p, n) {
-				break
-			}
-		}
-		if n == 2 {
-			// Two cells are in flight simultaneously: release everyone.
-			release.Do(func() { close(block) })
-		}
-		<-block
-		inflight.Add(-1)
-		return nil
-	}
-	NewRunner(4).Run(m)
-	if peak.Load() < 2 {
-		t.Fatalf("peak concurrent cells = %d, want >= 2", peak.Load())
+		m.run(parallel)
 	}
 }
 
@@ -108,90 +51,6 @@ func TestCellSeedStable(t *testing.T) {
 
 // parallelLevels are the engine widths every artifact must agree across.
 var parallelLevels = []int{1, 2, 8}
-
-// TestFig2ParallelDeterminism: the formatted Figure 2 artifact must be
-// byte-identical at -parallel 1, 2 and 8.
-func TestFig2ParallelDeterminism(t *testing.T) {
-	render := func(parallel int) string {
-		cfg := Fig2Config{
-			Sites: 12, Seed: 1,
-			DelayForwarding: 30 * sim.Microsecond,
-			LinkForwarding:  250 * sim.Microsecond,
-			Parallel:        parallel,
-		}
-		return Fig2(cfg).String()
-	}
-	assertIdenticalAcrossParallelism(t, render)
-}
-
-// TestTable1ParallelDeterminism: Table 1 (which draws per-load host-noise
-// jitter, the hard case) must be byte-identical at every parallelism.
-func TestTable1ParallelDeterminism(t *testing.T) {
-	render := func(parallel int) string {
-		cfg := DefaultTable1()
-		cfg.Loads = 6
-		cfg.Parallel = parallel
-		return Table1(cfg).String()
-	}
-	assertIdenticalAcrossParallelism(t, render)
-}
-
-// TestTable2ParallelDeterminism: the Table 2 grid must be byte-identical
-// at every parallelism.
-func TestTable2ParallelDeterminism(t *testing.T) {
-	render := func(parallel int) string {
-		cfg := Table2Config{
-			Sites: 8, Seed: 2,
-			Delays:   []sim.Time{30 * sim.Millisecond},
-			Rates:    []int64{1_000_000, 25_000_000},
-			Parallel: parallel,
-		}
-		return Table2(cfg).String()
-	}
-	assertIdenticalAcrossParallelism(t, render)
-}
-
-// TestFig3ParallelDeterminism: Figure 3 (shared per-trial RTT draws plus
-// jitter) must be byte-identical at every parallelism.
-func TestFig3ParallelDeterminism(t *testing.T) {
-	render := func(parallel int) string {
-		cfg := Fig3Config{
-			Loads: 6, Seed: 3,
-			MinRTTBase: 20 * sim.Millisecond, MinRTTSpread: 20 * sim.Millisecond,
-			Parallel: parallel,
-		}
-		return Fig3(cfg).String()
-	}
-	assertIdenticalAcrossParallelism(t, render)
-}
-
-// TestSweepParallelDeterminism: the open-ended sweep (jitter and loss
-// streams derived per cell) must be byte-identical at every parallelism.
-func TestSweepParallelDeterminism(t *testing.T) {
-	render := func(parallel int) string {
-		cfg := DefaultSweep()
-		cfg.Sites = 6
-		cfg.Parallel = parallel
-		return Sweep(cfg).String()
-	}
-	assertIdenticalAcrossParallelism(t, render)
-}
-
-// assertIdenticalAcrossParallelism renders an artifact at each engine
-// width and requires byte equality with the sequential rendering.
-func assertIdenticalAcrossParallelism(t *testing.T, render func(parallel int) string) {
-	t.Helper()
-	want := render(parallelLevels[0])
-	if want == "" {
-		t.Fatal("empty artifact")
-	}
-	for _, p := range parallelLevels[1:] {
-		if got := render(p); got != want {
-			t.Errorf("artifact differs at parallel=%d:\n--- parallel=%d ---\n%s\n--- parallel=%d ---\n%s",
-				p, parallelLevels[0], want, p, got)
-		}
-	}
-}
 
 // TestSweepShape sanity-checks the sweep driver itself: the grid size and
 // the monotone effect of added delay.
@@ -225,12 +84,12 @@ func TestSweepShape(t *testing.T) {
 	}
 }
 
-// TestRunnerLazySitesBuiltOnce runs many cells per site on 8 workers:
-// every cell of a site must see the same *archive.Site pointer (so
-// Scratch.matcherFor keeps its index), each site must equal an eager
+// TestMatrixLazySitesBuiltOnce runs many cells per site on 8 shards:
+// every cell of a site must see the same *archive.Site pointer (so a
+// shard's matcher index stays warm), each site must equal an eager
 // webgen.Materialize, and onceEach must run each build exactly once even
 // when cells race for it.
-func TestRunnerLazySitesBuiltOnce(t *testing.T) {
+func TestMatrixLazySitesBuiltOnce(t *testing.T) {
 	pages := corpusPages(3, 6)
 	const perSite = 16
 	m := &Matrix{Name: "lazy"}
@@ -242,11 +101,11 @@ func TestRunnerLazySitesBuiltOnce(t *testing.T) {
 
 	sites := materializeAll(pages)
 	seen := make([]*archive.Site, len(m.Cells))
-	m.Run = func(i int, c Cell, seed uint64) []float64 {
+	m.Run = func(_ *engine.Shard, i int, c Cell, seed uint64) []float64 {
 		seen[i] = sites[i/perSite]()
 		return nil
 	}
-	NewRunner(8).Run(m)
+	m.run(8)
 	for i, s := range seen {
 		first := seen[i/perSite*perSite]
 		if s == nil || s != first {
@@ -277,16 +136,75 @@ func TestRunnerLazySitesBuiltOnce(t *testing.T) {
 		}
 		return p
 	})
-	m.Run = func(i int, c Cell, seed uint64) []float64 {
+	m.Run = func(_ *engine.Shard, i int, c Cell, seed uint64) []float64 {
 		if got := counted[i/perSite](); got != pages[i/perSite] {
 			t.Errorf("cell %d: built value for the wrong page", i)
 		}
 		return nil
 	}
-	NewRunner(8).Run(m)
+	m.run(8)
 	for si := range builds {
 		if n := builds[si].Load(); n != 1 {
 			t.Fatalf("site %d built %d times, want 1", si, n)
 		}
 	}
+}
+
+// TestPooledEngineReuseIsInvisible: a pooled engine outlives the driver
+// call that warmed it. A width-2 engine that already carries warm pools
+// and oracle weights from a Table 2 call must render Figure 2
+// byte-identically to a fresh engine — on the cold plan its first Figure 2
+// call gets (the oracle keeps experiments apart by label) and on the LPT
+// plan the retained Figure 2 weights give the next call.
+func TestPooledEngineReuseIsInvisible(t *testing.T) {
+	fig2 := func() string {
+		return Fig2(Fig2Config{
+			Sites: 10, Seed: 1,
+			DelayForwarding: 30 * sim.Microsecond,
+			LinkForwarding:  250 * sim.Microsecond,
+			Parallel:        2,
+		}).String()
+	}
+	want := withPooledEngine(engine.New(2), fig2)
+
+	warm := engine.New(2)
+	withPooledEngine(warm, func() string {
+		return Table2(Table2Config{
+			Sites: 4, Seed: 2,
+			Delays:   []sim.Time{30 * sim.Millisecond},
+			Rates:    []int64{1_000_000},
+			Parallel: 2,
+		}).String()
+	})
+	for _, plan := range []string{"cold", "lpt"} {
+		got := withPooledEngine(warm, fig2)
+		p := warm.Placement()
+		if !strings.HasPrefix(p.Cells[0].Label, "fig2/") {
+			t.Fatalf("%s: Fig2 did not run on the pooled engine (last label %q)", plan, p.Cells[0].Label)
+		}
+		if p.Oracle != (plan == "lpt") {
+			t.Fatalf("%s: placement oracle = %v", plan, p.Oracle)
+		}
+		if got != want {
+			t.Fatalf("%s: Figure 2 on a reused engine differs from a fresh engine:\n%s\n--- fresh ---\n%s", plan, got, want)
+		}
+	}
+}
+
+// withPooledEngine runs f while every engine request from the pool is
+// answered by e. sync.Pool may drop a Put (it does so at random under the
+// race detector), so e is installed as the empty pool's New rather than
+// put into it.
+func withPooledEngine(e *engine.Engine, f func() string) string {
+	drain := func() {
+		for engines.Get() != nil {
+		}
+	}
+	drain()
+	engines.New = func() any { return e }
+	defer func() {
+		engines.New = nil
+		drain()
+	}()
+	return f()
 }

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/browser"
+	"repro/internal/engine"
 	"repro/internal/shells"
 	"repro/internal/sim"
 )
@@ -29,25 +31,42 @@ func TestLoadDeterministicWithoutJitter(t *testing.T) {
 }
 
 func TestLoadScratchReuseIsInvisible(t *testing.T) {
-	// A shared Scratch warms pools across loads but must never change
-	// results: fresh-scratch, reused-scratch, and alternating-site loads
-	// all agree with each other, resource for resource.
+	// A shard's loop, pools and load scratch warm up across loads but must
+	// never change results: fresh-shard, reused-shard, and alternating-site
+	// loads all agree with each other, resource for resource.
 	pages := corpusPages(1, 20)
 	specA := LoadSpec{Page: pages[3], DNSLatency: sim.Millisecond,
 		Shells: []shells.Shell{shells.NewDelayShell(20 * sim.Millisecond)}}
 	specB := LoadSpec{Page: pages[4], DNSLatency: sim.Millisecond}
 
 	fresh := Load(specA)
-	sc := NewScratch()
-	specA.Scratch, specB.Scratch = sc, sc
+	// Nil-shard loads draw pooled one-shard engines; concurrent callers
+	// must each get their own.
+	pooled := make([]browser.Result, 4)
+	var wg sync.WaitGroup
+	for g := range pooled {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pooled[g] = Load(specA)
+		}()
+	}
+	wg.Wait()
+	sh := engine.NewShard()
+	specA.Shard, specB.Shard = sh, sh
 	first := Load(specA)
-	Load(specB) // interleave another site through the same scratch
+	Load(specB) // interleave another site through the same shard
 	again := Load(specA)
 
-	for _, r := range []struct {
+	type load struct {
 		name string
 		got  browser.Result
-	}{{"first scratch load", first}, {"post-reuse load", again}} {
+	}
+	checks := []load{{"first shard load", first}, {"post-reuse load", again}}
+	for _, r := range pooled {
+		checks = append(checks, load{"concurrent pooled load", r})
+	}
+	for _, r := range checks {
 		if r.got.PLT != fresh.PLT || r.got.Resources != fresh.Resources ||
 			r.got.Bytes != fresh.Bytes || r.got.Errors != fresh.Errors {
 			t.Fatalf("%s diverged: PLT %v vs %v", r.name, r.got.PLT, fresh.PLT)

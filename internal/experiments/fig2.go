@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/archive"
+	"repro/internal/engine"
 	"repro/internal/shells"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -31,7 +32,7 @@ type Fig2Config struct {
 	// millisecond quantization of delivery opportunities that TraceBox
 	// already models.
 	LinkForwarding sim.Time
-	// Parallel is the engine worker count (see Runner.Parallel).
+	// Parallel is the engine shard count (<= 0: GOMAXPROCS).
 	Parallel int
 }
 
@@ -69,7 +70,7 @@ func Fig2(cfg Fig2Config) Fig2Result {
 	// Each site is materialized by the first cell that loads it, on that
 	// cell's worker, and shared by every later cell: an archive.Site is
 	// immutable once built and only read during loads, and handing out one
-	// pointer per site keeps Scratch.matcherFor's index warm.
+	// pointer per site keeps each shard's matcher index warm.
 	sites := materializeAll(pages)
 
 	m := &Matrix{Name: "fig2", RootSeed: cfg.Seed}
@@ -78,12 +79,12 @@ func Fig2(cfg Fig2Config) Fig2Result {
 			m.Cells = append(m.Cells, Cell{Site: siteLabel(i), Shell: arm})
 		}
 	}
-	m.Run = func(i int, c Cell, seed uint64) []float64 {
+	m.Run = func(sh *engine.Shard, i int, c Cell, seed uint64) []float64 {
 		si := i / len(fig2Arms)
 		return []float64{PLTms(LoadSpec{
 			Page: pages[si], Site: sites[si](),
 			DNSLatency: sim.Millisecond, RequestCPU: DefaultRequestCPU,
-			Shells: armShells[c.Shell](),
+			Shells: armShells[c.Shell](), Shard: sh,
 		})}
 	}
 
@@ -92,7 +93,7 @@ func Fig2(cfg Fig2Config) Fig2Result {
 	for _, arm := range fig2Arms {
 		acc[arm] = stats.NewAccumulator()
 	}
-	for i, vals := range NewRunner(cfg.Parallel).Run(m) {
+	for i, vals := range m.run(cfg.Parallel) {
 		acc[m.Cells[i].Shell].Add(vals...)
 	}
 	r := Fig2Result{
@@ -145,10 +146,10 @@ func (r Fig2Result) String() string {
 func siteLabel(i int) string { return fmt.Sprintf("site%03d", i) }
 
 // materializeAll returns one lazy replay archive per page. The first call
-// of sites[i]() builds page i's site on the calling goroutine (a Runner
+// of sites[i]() builds page i's site on the calling goroutine (a shard
 // worker, inside the cell that needs it); concurrent and later calls wait
 // for and share that one *archive.Site, so cells never rebuild a site and
-// the build cost is spread over the Runner's workers instead of paid
+// the build cost is spread over the engine's shards instead of paid
 // serially before the fan-out.
 func materializeAll(pages []*webgen.Page) []func() *archive.Site {
 	return onceEach(pages, webgen.Materialize)

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/browser"
+	"repro/internal/engine"
 	"repro/internal/inet"
 	"repro/internal/nsim"
 	"repro/internal/shells"
@@ -25,7 +26,7 @@ type Fig3Config struct {
 	// uniformly from [Base, Base+Spread]; as in the paper, the same
 	// per-load minimum RTT is fed to DelayShell for the replay arms.
 	MinRTTBase, MinRTTSpread sim.Time
-	// Parallel is the engine worker count (see Runner.Parallel).
+	// Parallel is the engine shard count (<= 0: GOMAXPROCS).
 	Parallel int
 }
 
@@ -61,25 +62,25 @@ func Fig3(cfg Fig3Config) Fig3Result {
 	for i := 0; i < cfg.Loads; i++ {
 		m.Cells = append(m.Cells, Cell{Site: "nytimes-like", Shell: "web+multi+single", Trial: i})
 	}
-	m.Run = func(i int, c Cell, seed uint64) []float64 {
+	m.Run = func(shard *engine.Shard, i int, c Cell, seed uint64) []float64 {
 		rng := sim.NewRand(seed)
 		minRTT := cfg.MinRTTBase + rng.Duration(cfg.MinRTTSpread+1)
 		webSeed := rng.Uint64()
-		web := liveLoad(page, minRTT/2, webSeed)
+		web := liveLoad(shard, page, minRTT/2, webSeed)
 		sh := []shells.Shell{shells.NewDelayShell(minRTT / 2)}
 		multi := PLTms(LoadSpec{
 			Page: page, Site: site, DNSLatency: sim.Millisecond, RequestCPU: DefaultRequestCPU, Shells: sh,
-			CPUJitterSigma: 0.015, Rand: rng,
+			CPUJitterSigma: 0.015, Rand: rng, Shard: shard,
 		})
 		single := PLTms(LoadSpec{
 			Page: page, Site: site, DNSLatency: sim.Millisecond, RequestCPU: DefaultRequestCPU, Shells: sh,
-			SingleServer: true, CPUJitterSigma: 0.015, Rand: rng,
+			SingleServer: true, CPUJitterSigma: 0.015, Rand: rng, Shard: shard,
 		})
 		return []float64{web, multi, single}
 	}
 
 	web, multi, single := stats.NewAccumulator(), stats.NewAccumulator(), stats.NewAccumulator()
-	for _, vals := range NewRunner(cfg.Parallel).Run(m) {
+	for _, vals := range m.run(cfg.Parallel) {
 		web.Add(vals[0])
 		multi.Add(vals[1])
 		single.Add(vals[2])
@@ -96,8 +97,8 @@ func Fig3(cfg Fig3Config) Fig3Result {
 
 // liveLoad runs one load against the live-web model behind a DelayShell
 // contributing the path's minimum RTT, returning PLT in milliseconds.
-func liveLoad(page *webgen.Page, oneWay sim.Time, seed uint64) float64 {
-	loop := sim.NewLoop()
+func liveLoad(sh *engine.Shard, page *webgen.Page, oneWay sim.Time, seed uint64) float64 {
+	loop := sh.Loop()
 	network := nsim.NewNetwork(loop)
 	web, err := inet.New(network, inet.DefaultConfig(page, seed))
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/archive"
 	"repro/internal/browser"
+	"repro/internal/engine"
 	"repro/internal/netem"
 	"repro/internal/nsim"
 	"repro/internal/replayshell"
@@ -53,15 +54,15 @@ func Isolation(seed uint64, parallel int) IsolationResult {
 			{Site: "wikihow-like", Shell: "concurrent"},
 		},
 	}
-	m.Run = func(i int, c Cell, _ uint64) []float64 {
+	m.Run = func(sh *engine.Shard, i int, c Cell, _ uint64) []float64 {
 		if c.Shell == "solo" {
-			plt := Load(LoadSpec{Page: page, Site: site, DNSLatency: sim.Millisecond, Shells: mkShells()}).PLT
+			plt := Load(LoadSpec{Page: page, Site: site, DNSLatency: sim.Millisecond, Shells: mkShells(), Shard: sh}).PLT
 			return []float64{float64(plt)}
 		}
-		plt, cross := isolationConcurrent(page, site, mkShells())
+		plt, cross := isolationConcurrent(sh, page, site, mkShells())
 		return []float64{float64(plt), float64(cross)}
 	}
-	results := NewRunner(parallel).Run(m)
+	results := m.run(parallel)
 	return IsolationResult{
 		SoloPLT:       sim.Time(results[0][0]),
 		ConcurrentPLT: sim.Time(results[1][0]),
@@ -72,8 +73,8 @@ func Isolation(seed uint64, parallel int) IsolationResult {
 // isolationConcurrent runs the measured load while a noisy neighbour in
 // the same Network (same event loop) continuously saturates its own link,
 // returning the measured PLT and the neighbour's delivered datagram count.
-func isolationConcurrent(page *webgen.Page, site *archive.Site, shellList []shells.Shell) (sim.Time, uint64) {
-	loop := sim.NewLoop()
+func isolationConcurrent(sh *engine.Shard, page *webgen.Page, site *archive.Site, shellList []shells.Shell) (sim.Time, uint64) {
+	loop := sh.Loop()
 	network := nsim.NewNetwork(loop)
 	replay, err := replayshell.New(network, replayshell.Config{
 		Site: site, DNSLatency: sim.Millisecond,

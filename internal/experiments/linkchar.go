@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/netem"
 	"repro/internal/nsim"
 	"repro/internal/sim"
@@ -25,7 +26,7 @@ type LinkcharConfig struct {
 	// Seed roots the scenario matrix, the corpus synthesis and every
 	// impairment box's draw stream.
 	Seed uint64
-	// Parallel is the engine worker count (see Runner.Parallel).
+	// Parallel is the engine shard count (<= 0: GOMAXPROCS).
 	Parallel int
 	// BulkBytes is the downloaded payload size per cell.
 	BulkBytes int
@@ -160,13 +161,13 @@ func Linkchar(cfg LinkcharConfig) LinkcharResult {
 		}
 	}
 	perLink := len(impairs) * len(qdiscs)
-	m.Run = func(i int, c Cell, seed uint64) []float64 {
+	m.Run = func(sh *engine.Shard, i int, c Cell, seed uint64) []float64 {
 		l := corpus[i/perLink]
 		imp := impairs[(i%perLink)/len(qdiscs)]
 		spec := qdiscs[i%len(qdiscs)]
-		return linkcharCell(cfg, payload, upTrace, l, imp, spec, seed)
+		return linkcharCell(sh, cfg, payload, upTrace, l, imp, spec, seed)
 	}
-	results := NewRunner(cfg.Parallel).Run(m)
+	results := m.run(cfg.Parallel)
 
 	out := LinkcharResult{}
 	for i, vals := range results {
@@ -190,9 +191,9 @@ func Linkchar(cfg LinkcharConfig) LinkcharResult {
 
 // linkcharCell runs one cell: a bulk download from a server namespace to a
 // client across a downlink shaped by trace + qdisc + impairment box.
-func linkcharCell(cfg LinkcharConfig, payload []byte, up, down *trace.Trace,
+func linkcharCell(sh *engine.Shard, cfg LinkcharConfig, payload []byte, up, down *trace.Trace,
 	imp linkcharImpair, spec netem.QdiscSpec, seed uint64) []float64 {
-	loop := sim.NewLoop()
+	loop := sh.Loop()
 	network := nsim.NewNetwork(loop)
 	cns := network.NewNamespace("client")
 	sns := network.NewNamespace("server")

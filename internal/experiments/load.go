@@ -1,21 +1,20 @@
 // Package experiments contains one driver per table and figure in the
 // paper's evaluation, plus an open-ended scenario sweep. Each driver
-// declares its site × shell-stack × trial grid as a Matrix and hands it to
-// a Runner, the package's parallel scenario-matrix engine; every cell
-// builds fresh namespaces per page load (as Mahimahi does per shell
-// invocation), runs the load on a virtual clock, and reports the same
-// statistics the paper prints. Per-cell random seeds are derived from the
-// cell's coordinates alone (sim.DeriveSeed), so every artifact is
-// byte-identical at any engine parallelism. The benchmarks in the
+// declares its site × shell-stack × trial grid as a Matrix and runs it on
+// the sharded cell executor (internal/engine); every cell builds fresh
+// namespaces per page load (as Mahimahi does per shell invocation), runs
+// the load on a virtual clock, and reports the same statistics the paper
+// prints. Per-cell random seeds are derived from the cell's coordinates
+// alone (sim.DeriveSeed), so every artifact is byte-identical at any
+// engine parallelism. The benchmarks in the
 // repository root and cmd/mm-bench both call into this package, so the
 // numbers in EXPERIMENTS.md are regenerated from exactly this code.
 package experiments
 
 import (
-	"sync"
-
 	"repro/internal/archive"
 	"repro/internal/browser"
+	"repro/internal/engine"
 	"repro/internal/match"
 	"repro/internal/nsim"
 	"repro/internal/replayshell"
@@ -57,38 +56,30 @@ type LoadSpec struct {
 	Rand *sim.Rand
 	// Browser overrides browser options; nil uses defaults.
 	Browser *browser.Options
-	// Scratch carries warmed object pools and working storage across
-	// sequential loads (nil draws one from a shared pool for the duration
-	// of the load). See Scratch.
-	Scratch *Scratch
+	// Shard supplies the event loop, packet and segment pools, browser
+	// working storage and matcher index the load runs on; a matrix cell
+	// passes the shard it was given. Nil runs the load on shard 0 of a
+	// pooled one-shard engine. Shard contents never influence results,
+	// only where allocations come from.
+	Shard *engine.Shard
 }
 
-// Scratch bundles every reusable buffer and object pool a page load
-// touches: the browser's working storage, the network's packet/datagram
-// pools, the TCP stacks' segment pool, and a per-site matcher index. One
-// scratch serves one load at a time; reusing it across the sequential
-// loads of a benchmark iteration or matrix cell removes per-load pool
-// warmup from the hot path. Scratch contents never influence results —
-// only where allocations come from — so reuse preserves byte-identical
-// experiment artifacts.
-type Scratch struct {
-	browser  browser.Scratch
-	pools    *nsim.PoolSet
-	segments *tcpsim.SegmentPool
-	loop     *sim.Loop
-
+// loadScratch is the page-load state a shard keeps across its loads: the
+// browser's working storage and a matcher index for the last site loaded.
+type loadScratch struct {
+	browser     browser.Scratch
 	matcherSite *archive.Site
 	matcher     *match.Matcher
 }
 
-// NewScratch returns an empty scratch.
-func NewScratch() *Scratch {
-	return &Scratch{pools: &nsim.PoolSet{}, segments: &tcpsim.SegmentPool{}, loop: sim.NewLoop()}
+// loadScratchFor returns sh's page-load scratch, creating it on first use.
+func loadScratchFor(sh *engine.Shard) *loadScratch {
+	return sh.Scratch("experiments.load", func() any { return new(loadScratch) }).(*loadScratch)
 }
 
 // matcherFor returns a matcher index for site, rebuilding only when the
 // site changes.
-func (s *Scratch) matcherFor(site *archive.Site) *match.Matcher {
+func (s *loadScratch) matcherFor(site *archive.Site) *match.Matcher {
 	if s.matcherSite != site {
 		s.matcher = match.New(site)
 		s.matcherSite = site
@@ -96,25 +87,21 @@ func (s *Scratch) matcherFor(site *archive.Site) *match.Matcher {
 	return s.matcher
 }
 
-// scratchPool recycles Scratches for Load calls without an explicit one.
-// sync.Pool hands a scratch to exactly one goroutine at a time, so pooled
-// reuse is race-free even under a parallel Runner.
-var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
-
 // Load runs one page load in a fresh network and returns the result. The
 // simulation's bulk allocations (packets, datagrams, segments, browser
-// working storage, the replay matcher index) come from spec.Scratch — or
-// from a shared recycled scratch when nil — so sequential loads reuse one
-// warmed set of pools instead of reallocating it per load.
+// working storage, the replay matcher index) come from spec.Shard, so
+// sequential loads on one shard reuse one warmed set of pools instead of
+// reallocating it per load.
 func Load(spec LoadSpec) browser.Result {
-	sc := spec.Scratch
-	if sc == nil {
-		sc = scratchPool.Get().(*Scratch)
-		defer scratchPool.Put(sc)
+	sh := spec.Shard
+	if sh == nil {
+		e := takeEngine(1)
+		defer engines.Put(e)
+		sh = e.Shard(0)
 	}
-	loop := sc.loop
-	loop.Reset()
-	network := nsim.NewNetworkPooled(loop, sc.pools)
+	sc := loadScratchFor(sh)
+	loop := sh.Loop()
+	network := nsim.NewNetworkPooled(loop, sh.Pools())
 	site := spec.Site
 	if site == nil {
 		site = webgen.Materialize(spec.Page)
@@ -125,7 +112,7 @@ func Load(spec LoadSpec) browser.Result {
 		DNSLatency:   spec.DNSLatency,
 		RequestCPU:   spec.RequestCPU,
 		Matcher:      sc.matcherFor(site),
-		Segments:     sc.segments,
+		Segments:     sh.Segments(),
 	})
 	if err != nil {
 		panic("experiments: " + err.Error())
@@ -142,7 +129,7 @@ func Load(spec LoadSpec) browser.Result {
 			opts.CPUScale = 0.1
 		}
 	}
-	b := browser.New(tcpsim.NewStackPool(st.App, sc.segments), replay.Resolver, AppAddr, opts)
+	b := browser.New(tcpsim.NewStackPool(st.App, sh.Segments()), replay.Resolver, AppAddr, opts)
 	b.UseScratch(&sc.browser)
 	var result browser.Result
 	b.Load(spec.Page, func(r browser.Result) { result = r })

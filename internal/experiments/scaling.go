@@ -9,18 +9,18 @@ import (
 )
 
 // ScalingConfig declares the engine-scaling smoke: the contention grid run
-// at 1 shard and at Shards shards, each arm repeated Reps times with every
+// at 1 shard and at Parallel shards, each arm repeated Reps times with every
 // repetition's measured per-cell profile fed into the next (the cost-oracle
 // plumbing), so the first repetition plans by label hash and the rest plan
 // weight-aware LPT. Wall-clock speedup is host-dependent; the skew, steal
 // and utilization columns are the machine-independent evidence that the
 // two-level scheduler levels the load.
 type ScalingConfig struct {
-	// Contention is the per-cell workload; its Shards/Profile fields are
-	// overridden per arm.
+	// Contention is the per-cell workload; its Parallel/Profile fields
+	// are overridden per arm.
 	Contention ContentionConfig
-	// Shards is the parallel arm's lane count (<= 0: GOMAXPROCS).
-	Shards int
+	// Parallel is the parallel arm's lane count (<= 0: GOMAXPROCS).
+	Parallel int
 	// Reps is the repetitions per arm (default 3: one cold, two primed).
 	Reps int
 }
@@ -30,7 +30,7 @@ type ScalingConfig struct {
 func DefaultScaling() ScalingConfig {
 	cfg := DefaultContention()
 	cfg.Flows = 200
-	return ScalingConfig{Contention: cfg, Shards: 4, Reps: 3}
+	return ScalingConfig{Contention: cfg, Parallel: 4, Reps: 3}
 }
 
 // ScalingRep is one repetition of one arm.
@@ -69,7 +69,7 @@ func Scaling(cfg ScalingConfig) ScalingResult {
 		var profile engine.Profile
 		for i := 0; i < cfg.Reps; i++ {
 			c := cfg.Contention
-			c.Shards = shards
+			c.Parallel = shards
 			c.Profile = profile
 			start := time.Now()
 			out := Contention(c)
@@ -90,7 +90,7 @@ func Scaling(cfg ScalingConfig) ScalingResult {
 		return reps
 	}
 	res.Reps1 = arm(1)
-	res.RepsN = arm(cfg.Shards)
+	res.RepsN = arm(cfg.Parallel)
 	best := func(reps []ScalingRep) time.Duration {
 		b := reps[0].Wall
 		for _, r := range reps[1:] {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/shells"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -31,7 +32,7 @@ type SweepConfig struct {
 	Delays    []sim.Time
 	Rates     []int64
 	LossProbs []float64
-	// Parallel is the engine worker count (see Runner.Parallel).
+	// Parallel is the engine shard count (<= 0: GOMAXPROCS).
 	Parallel int
 }
 
@@ -104,7 +105,7 @@ func Sweep(cfg SweepConfig) SweepResult {
 		}
 	}
 	perStack := len(pages) * cfg.Trials
-	m.Run = func(i int, c Cell, seed uint64) []float64 {
+	m.Run = func(sh *engine.Shard, i int, c Cell, seed uint64) []float64 {
 		st := stacks[i/perStack]
 		si := (i % perStack) / cfg.Trials
 		page, site := pages[si], sites[si]()
@@ -131,7 +132,7 @@ func Sweep(cfg SweepConfig) SweepResult {
 		spec := LoadSpec{
 			Page: page, Site: site,
 			DNSLatency: sim.Millisecond, RequestCPU: DefaultRequestCPU,
-			Shells: stack,
+			Shells: stack, Shard: sh,
 		}
 		if cfg.CPUJitterSigma > 0 {
 			spec.CPUJitterSigma = cfg.CPUJitterSigma
@@ -140,7 +141,7 @@ func Sweep(cfg SweepConfig) SweepResult {
 		return []float64{PLTms(spec)}
 	}
 
-	results := NewRunner(cfg.Parallel).Run(m)
+	results := m.run(cfg.Parallel)
 	out := SweepResult{Cells: len(m.Cells)}
 	for si, st := range stacks {
 		acc := stats.NewAccumulator()

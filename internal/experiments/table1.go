@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/shells"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -26,7 +27,7 @@ type Table1Config struct {
 	// run under.
 	LinkRate int64
 	Delay    sim.Time
-	// Parallel is the engine worker count (see Runner.Parallel).
+	// Parallel is the engine shard count (<= 0: GOMAXPROCS).
 	Parallel int
 }
 
@@ -106,7 +107,7 @@ func Table1(cfg Table1Config) Table1Result {
 		}
 	}
 	cellsPerProfile := 2 * cfg.Loads
-	m.Run = func(i int, c Cell, seed uint64) []float64 {
+	m.Run = func(sh *engine.Shard, i int, c Cell, seed uint64) []float64 {
 		pi := i / cellsPerProfile
 		return []float64{PLTms(LoadSpec{
 			Page: pages[pi], Site: sites[pi](),
@@ -117,10 +118,11 @@ func Table1(cfg Table1Config) Table1Result {
 			},
 			CPUJitterSigma: cfg.CPUJitterSigma,
 			Rand:           sim.NewRand(seed),
+			Shard:          sh,
 		})}
 	}
 
-	results := NewRunner(cfg.Parallel).Run(m)
+	results := m.run(cfg.Parallel)
 	var out Table1Result
 	for pi, p := range profiles {
 		row := Table1Row{Site: p.Name}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/shells"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -21,7 +22,7 @@ type Table2Config struct {
 	// {1,14,25} Mbit/s).
 	Delays []sim.Time
 	Rates  []int64
-	// Parallel is the engine worker count (see Runner.Parallel).
+	// Parallel is the engine shard count (<= 0: GOMAXPROCS).
 	Parallel int
 }
 
@@ -93,7 +94,7 @@ func Table2(cfg Table2Config) Table2Result {
 			})
 		}
 	}
-	m.Run = func(i int, c Cell, seed uint64) []float64 {
+	m.Run = func(sh *engine.Shard, i int, c Cell, seed uint64) []float64 {
 		nc := confs[i/len(pages)]
 		page, site := pages[i%len(pages)], sites[i%len(pages)]()
 		down, err := trace.Constant(nc.rate, 2000)
@@ -112,15 +113,16 @@ func Table2(cfg Table2Config) Table2Result {
 		}
 		multi := PLTms(LoadSpec{
 			Page: page, Site: site, DNSLatency: sim.Millisecond, RequestCPU: DefaultRequestCPU, Shells: mk(),
+			Shard: sh,
 		})
 		single := PLTms(LoadSpec{
 			Page: page, Site: site, DNSLatency: sim.Millisecond, RequestCPU: DefaultRequestCPU, Shells: mk(),
-			SingleServer: true,
+			SingleServer: true, Shard: sh,
 		})
 		return []float64{stats.AbsRelDiff(single, multi)}
 	}
 
-	results := NewRunner(cfg.Parallel).Run(m)
+	results := m.run(cfg.Parallel)
 	var out Table2Result
 	for ci, nc := range confs {
 		acc := stats.NewAccumulator()

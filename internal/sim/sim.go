@@ -257,7 +257,7 @@ func NewLoop() *Loop {
 // queue — while keeping every allocated capacity (slot slab, free lists,
 // buckets, run heap, now-queue), so a driver running many sequential
 // simulations can reuse one warmed loop instead of regrowing these
-// structures per run (see experiments.Scratch). Any events still pending
+// structures per run (see engine.Shard.Loop). Any events still pending
 // are discarded. Event/Timer handles issued before the reset must not be
 // used afterwards: slot generations advance, which makes stale handles
 // inert.
