@@ -312,6 +312,15 @@ func BenchmarkQdisc(b *testing.B) {
 	}
 }
 
+// putAll returns a sink recycling every delivered packet into pool.
+func putAll(pool *netem.PacketPool) netem.Sink {
+	return func(pkts []*netem.Packet) {
+		for _, pkt := range pkts {
+			pool.Put(pkt)
+		}
+	}
+}
+
 // BenchmarkImpair measures the impairment-box hot path under the same
 // contract as BenchmarkQdisc: one op pushes a 64-packet burst through the
 // box (plus, for the reorder row, the loop turn that drains its holds) and
@@ -343,13 +352,18 @@ func BenchmarkImpair(b *testing.B) {
 			loop := sim.NewLoop()
 			box := tc.mk(loop)
 			pool := &netem.PacketPool{}
-			box.SetSink(func(pkt *netem.Packet) { pool.Put(pkt) })
+			box.SetSink(putAll(pool))
+			// Packets enter one at a time through a reused one-packet
+			// train: a fresh []*netem.Packet literal passed through the
+			// interface would escape and allocate per packet.
+			var one [1]*netem.Packet
 			step := func() {
 				for i := 0; i < burst; i++ {
 					pkt := pool.Get()
 					pkt.Size = netem.MTU
 					pkt.Flow = uint64(i % 8)
-					box.Send(pkt)
+					one[0] = pkt
+					box.Send(one[:])
 				}
 				loop.Run() // drains reorder holds; no-op for stateless boxes
 			}
@@ -667,7 +681,7 @@ func BenchmarkScenarioScript(b *testing.B) {
 		loop := sim.NewLoop()
 		q := netem.NewCoDel(netem.CoDelConfig{MaxPackets: 256})
 		r := netem.NewRateBox(loop, 1_000_000_000, q)
-		r.SetSink(func(*netem.Packet) {})
+		r.SetSink(func([]*netem.Packet) {})
 		script := netem.NewScenarioScript(loop)
 		script.Watch(q)
 		script.RateStep(sim.Millisecond, r, 2_000_000_000)
@@ -678,9 +692,11 @@ func BenchmarkScenarioScript(b *testing.B) {
 		for i := range pkts {
 			pkts[i] = &netem.Packet{Size: netem.MTU, Flow: uint64(i % 8)}
 		}
+		var one [1]*netem.Packet // reused one-packet train (see BenchmarkImpair)
 		step := func() {
 			for _, p := range pkts {
-				r.Send(p)
+				one[0] = p
+				r.Send(one[:])
 			}
 			loop.Run()
 		}
@@ -710,18 +726,20 @@ func BenchmarkScenarioScript(b *testing.B) {
 		corrupt := netem.NewCorruptBox(0.05, 0, sim.NewRand(6))
 		pipe := netem.NewPipeline(loss, reorder, dup, corrupt)
 		pool := &netem.PacketPool{}
-		pipe.SetSink(func(pkt *netem.Packet) { pool.Put(pkt) })
+		pipe.SetSink(putAll(pool))
 		script := netem.NewScenarioScript(loop)
 		script.LossModelSwap(sim.Millisecond, loss, netem.NewMarkov4State(0.1, 0.5, 0.2, 0.3, 0.05))
 		script.ReorderStep(sim.Millisecond, reorder, 0.1, 0)
 		script.DuplicateStep(sim.Millisecond, dup, 0.1, 0)
 		script.CorruptStep(sim.Millisecond, corrupt, 0.1, 0)
+		var one [1]*netem.Packet // reused one-packet train (see BenchmarkImpair)
 		step := func() {
 			for i := 0; i < burst; i++ {
 				pkt := pool.Get()
 				pkt.Size = netem.MTU
 				pkt.Flow = uint64(i % 8)
-				pipe.Send(pkt)
+				one[0] = pkt
+				pipe.Send(one[:])
 			}
 			loop.Run()
 		}
@@ -743,7 +761,7 @@ func BenchmarkScenarioScript(b *testing.B) {
 			q := netem.NewDropTail(0, 0)
 			r := netem.NewRateBox(loop, 1_000_000, q)
 			delivered := 0
-			r.SetSink(func(*netem.Packet) { delivered++ })
+			r.SetSink(func(pkts []*netem.Packet) { delivered += len(pkts) })
 			script := netem.NewScenarioScript(loop)
 			script.Watch(q)
 			script.RateStep(60*sim.Millisecond, r, 2_000_000)
@@ -753,7 +771,7 @@ func BenchmarkScenarioScript(b *testing.B) {
 				netem.QdiscSpec{Packets: 4}, netem.DrainFlush)
 			loop.Schedule(0, func(sim.Time) {
 				for j := 0; j < 30; j++ {
-					r.Send(&netem.Packet{Size: netem.MTU, Flow: uint64(j % 3)})
+					r.Send([]*netem.Packet{{Size: netem.MTU, Flow: uint64(j % 3)}})
 				}
 			})
 			loop.Run()

@@ -16,19 +16,17 @@ import (
 //
 // Bursts are delivered as packet trains: a run of packets arriving at one
 // instant with nothing scheduled in between (see train) shares one delivery
-// event and reaches the sink as one batch, so a congestion-window burst
+// event and reaches the sink as one train, so a congestion-window burst
 // costs one event instead of one per packet.
 type DelayBox struct {
-	loop      *sim.Loop
-	delay     sim.Time
-	sink      Sink
-	batchSink BatchSink
-	stats     BoxStats
+	loop  *sim.Loop
+	delay sim.Time
+	sink  Sink
+	stats BoxStats
 	// open is the train still accepting same-instant appends; mark is the
 	// loop's SeqMark right after the train last grew, the adjacency guard.
-	open   *train
-	mark   uint64
-	trains trainPool
+	open *train
+	mark uint64
 	// releaseFn is the release method pre-bound once, so each train's
 	// delivery event carries the train as the event argument instead of a
 	// freshly allocated closure.
@@ -70,7 +68,7 @@ func (d *DelayBox) schedule(pkt *Packet) {
 		d.open.pkts = append(d.open.pkts, pkt)
 		return
 	}
-	t := d.trains.get()
+	t := getTrain()
 	t.exit = exit
 	t.pkts = append(t.pkts, pkt)
 	d.open = t
@@ -78,18 +76,9 @@ func (d *DelayBox) schedule(pkt *Packet) {
 	d.mark = d.loop.SeqMark()
 }
 
-// Send implements Box.
-func (d *DelayBox) Send(pkt *Packet) {
-	if d.sink == nil {
-		panic("netem: DelayBox.Send before SetSink")
-	}
-	d.admit(pkt)
-	d.schedule(pkt)
-}
-
-// SendBatch implements Box: the whole train shares one exit instant, so
-// after the first packet (possibly) opens a train the rest append in O(1).
-func (d *DelayBox) SendBatch(pkts []*Packet) {
+// Send implements Box: the whole train shares one exit instant, so after
+// the first packet (possibly) opens a train the rest append in O(1).
+func (d *DelayBox) Send(pkts []*Packet) {
 	if d.sink == nil {
 		panic("netem: DelayBox.Send before SetSink")
 	}
@@ -111,21 +100,12 @@ func (d *DelayBox) release(_ sim.Time, arg any) {
 		d.stats.Delivered++
 		d.stats.DeliveredBytes += uint64(pkt.Size)
 	}
-	if d.batchSink != nil {
-		d.batchSink(t.pkts)
-	} else {
-		for _, pkt := range t.pkts {
-			d.sink(pkt)
-		}
-	}
-	d.trains.put(t)
+	d.sink(t.pkts)
+	putTrain(t)
 }
 
 // SetSink implements Box.
 func (d *DelayBox) SetSink(sink Sink) { d.sink = sink }
-
-// SetBatchSink implements Box.
-func (d *DelayBox) SetBatchSink(sink BatchSink) { d.batchSink = sink }
 
 // Stats implements Box.
 func (d *DelayBox) Stats() BoxStats { return d.stats }
@@ -136,12 +116,11 @@ func (d *DelayBox) Stats() BoxStats { return d.stats }
 // model is swappable mid-run (SetModel/SetProb) for scripted loss steps —
 // a ScenarioScript mutation that takes effect from the next packet.
 type LossBox struct {
-	model     LossModel
-	rng       *sim.Rand
-	sink      Sink
-	batchSink BatchSink
-	stats     BoxStats
-	surv      []*Packet // recycled survivor scratch for SendBatch
+	model LossModel
+	rng   *sim.Rand
+	sink  Sink
+	stats BoxStats
+	out   trainOut // survivors, copied only once a drop splits the train
 }
 
 // NewLossBox returns a box that drops packets independently with
@@ -175,63 +154,31 @@ func (l *LossBox) SetModel(model LossModel) {
 // the scripted loss-rate step.
 func (l *LossBox) SetProb(prob float64) { l.model = NewBernoulli(prob) }
 
-// Send implements Box.
-func (l *LossBox) Send(pkt *Packet) {
+// Send implements Box. Loss draws happen per packet in train order —
+// exactly the stream one-packet trains would consume — and the surviving
+// (possibly shortened) run continues as one train.
+func (l *LossBox) Send(pkts []*Packet) {
 	if l.sink == nil {
 		panic("netem: LossBox.Send before SetSink")
 	}
-	l.stats.Arrived++
-	l.stats.ArrivedBytes += uint64(pkt.Size)
-	if l.model.Drop(l.rng) {
-		l.stats.Dropped++
-		pkt.Recycle()
-		return
-	}
-	l.stats.Delivered++
-	l.stats.DeliveredBytes += uint64(pkt.Size)
-	l.sink(pkt)
-}
-
-// SendBatch implements Box. Loss draws happen per packet in train order —
-// exactly the stream a per-packet Send sequence would consume — and the
-// surviving (possibly shortened) run continues as one train.
-func (l *LossBox) SendBatch(pkts []*Packet) {
-	if l.sink == nil {
-		panic("netem: LossBox.Send before SetSink")
-	}
-	surv := l.surv[:0]
-	for _, pkt := range pkts {
+	for i, pkt := range pkts {
 		l.stats.Arrived++
 		l.stats.ArrivedBytes += uint64(pkt.Size)
 		if l.model.Drop(l.rng) {
 			l.stats.Dropped++
 			pkt.Recycle()
+			l.out.diverge(pkts, i)
 			continue
 		}
 		l.stats.Delivered++
 		l.stats.DeliveredBytes += uint64(pkt.Size)
-		surv = append(surv, pkt)
+		l.out.add(pkt)
 	}
-	if len(surv) > 0 {
-		if l.batchSink != nil {
-			l.batchSink(surv)
-		} else {
-			for _, pkt := range surv {
-				l.sink(pkt)
-			}
-		}
-	}
-	for i := range surv {
-		surv[i] = nil
-	}
-	l.surv = surv[:0]
+	l.out.send(pkts, l.sink)
 }
 
 // SetSink implements Box.
 func (l *LossBox) SetSink(sink Sink) { l.sink = sink }
-
-// SetBatchSink implements Box.
-func (l *LossBox) SetBatchSink(sink BatchSink) { l.batchSink = sink }
 
 // Stats implements Box.
 func (l *LossBox) Stats() BoxStats { return l.stats }
@@ -257,8 +204,9 @@ type RateBox struct {
 	sink    Sink
 	stats   BoxStats
 	sending bool
-	cur     *Packet   // packet occupying the transmitter
-	timer   sim.Timer // finish timer, rearmed across the schedule
+	cur     *Packet    // packet occupying the transmitter
+	out     [1]*Packet // egress slot: each finish delivers a one-packet train
+	timer   sim.Timer  // finish timer, rearmed across the schedule
 	carry   qdiscCarry
 }
 
@@ -365,20 +313,9 @@ func (r *RateBox) admit(pkt *Packet) {
 	r.queue.Enqueue(pkt, r.loop.Now())
 }
 
-// Send implements Box.
-func (r *RateBox) Send(pkt *Packet) {
-	if r.sink == nil {
-		panic("netem: RateBox.Send before SetSink")
-	}
-	r.admit(pkt)
-	if !r.sending {
-		r.startNext()
-	}
-}
-
-// SendBatch implements Box: the whole train is admitted in one pass, then
-// the transmitter is started once.
-func (r *RateBox) SendBatch(pkts []*Packet) {
+// Send implements Box: the whole train is admitted in one pass, then the
+// transmitter is started once.
+func (r *RateBox) Send(pkts []*Packet) {
 	if r.sink == nil {
 		panic("netem: RateBox.Send before SetSink")
 	}
@@ -411,20 +348,18 @@ func (r *RateBox) finish(sim.Time) {
 	r.cur = nil
 	r.stats.Delivered++
 	r.stats.DeliveredBytes += uint64(pkt.Size)
-	r.sink(pkt)
+	r.out[0] = pkt
+	r.sink(r.out[:])
+	r.out[0] = nil
 	r.startNext()
 }
 
-// SetSink implements Box.
+// SetSink implements Box. Serialization exits are distinct instants, so
+// egress is inherently per-packet: the sink sees one-packet trains.
 func (r *RateBox) SetSink(sink Sink) { r.sink = sink }
 
-// SetBatchSink implements Box (unused: serialization exits are distinct
-// instants, so egress is inherently per-packet).
-func (r *RateBox) SetBatchSink(BatchSink) {}
-
 // Stats implements Box: queue gauges and drop counts are read through from
-// the shared QueueStats, so the batch and single-packet paths can never
-// disagree.
+// the qdisc's QueueStats, the one place they are kept.
 func (r *RateBox) Stats() BoxStats {
 	st := r.stats
 	qs := r.queue.QueueStats()

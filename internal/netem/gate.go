@@ -20,20 +20,19 @@ import (
 // state changes come only from SetOn, the mutation a ScenarioScript drives
 // for outage windows pinned to exact virtual instants.
 type GateBox struct {
-	loop      *sim.Loop
-	on        sim.Time
-	off       sim.Time
-	jitter    float64 // fraction of period length, 0 = strictly periodic
-	rng       *sim.Rand
-	isOn      bool
-	scripted  bool // state changes come from SetOn, never self-scheduled
-	queue     Qdisc
-	sink      Sink
-	batchSink BatchSink
-	stats     BoxStats
-	carry     qdiscCarry
-	drain     []*Packet   // recycled scratch for the restore-time flush
-	flipFn    sim.Handler // flip pre-bound once, so periods schedule closure-free
+	loop     *sim.Loop
+	on       sim.Time
+	off      sim.Time
+	jitter   float64 // fraction of period length, 0 = strictly periodic
+	rng      *sim.Rand
+	isOn     bool
+	scripted bool // state changes come from SetOn, never self-scheduled
+	queue    Qdisc
+	sink     Sink
+	stats    BoxStats
+	carry    qdiscCarry
+	drain    []*Packet   // recycled scratch for the restore-time flush
+	flipFn   sim.Handler // flip pre-bound once, so periods schedule closure-free
 }
 
 // NewGateBox returns an intermittent-link box that starts in the on state.
@@ -129,92 +128,59 @@ func (g *GateBox) flip(sim.Time) {
 // drainBacklog releases everything held during an outage, in order, and
 // reports how many packets survived the qdisc's drop law to go downstream.
 // The backlog leaves at one instant with nothing interleaved, so it
-// continues downstream as a single train when possible.
+// continues downstream as a single train.
 func (g *GateBox) drainBacklog() int {
 	now := g.loop.Now()
-	released := 0
-	if g.batchSink != nil && g.queue.Len() > 1 {
-		drain := g.drain[:0]
-		for {
-			pkt := g.queue.Dequeue(now)
-			if pkt == nil {
-				break
-			}
-			g.stats.Delivered++
-			g.stats.DeliveredBytes += uint64(pkt.Size)
-			drain = append(drain, pkt)
-		}
-		released = len(drain)
-		if len(drain) > 0 {
-			g.batchSink(drain)
-		}
-		for i := range drain {
-			drain[i] = nil
-		}
-		g.drain = drain[:0]
-		return released
-	}
+	drain := g.drain[:0]
 	for {
 		pkt := g.queue.Dequeue(now)
 		if pkt == nil {
 			break
 		}
-		released++
-		g.deliver(pkt)
+		g.stats.Delivered++
+		g.stats.DeliveredBytes += uint64(pkt.Size)
+		drain = append(drain, pkt)
 	}
+	released := len(drain)
+	if released > 0 {
+		g.sink(drain)
+	}
+	for i := range drain {
+		drain[i] = nil
+	}
+	g.drain = drain[:0]
 	return released
 }
 
-func (g *GateBox) deliver(pkt *Packet) {
-	g.stats.Delivered++
-	g.stats.DeliveredBytes += uint64(pkt.Size)
-	g.sink(pkt)
-}
-
-// Send implements Box.
-func (g *GateBox) Send(pkt *Packet) {
+// Send implements Box: an on-state train passes through as a train; an
+// off-state train is queued packet-by-packet (drops shorten it).
+func (g *GateBox) Send(pkts []*Packet) {
 	if g.sink == nil {
 		panic("netem: GateBox.Send before SetSink")
 	}
-	g.stats.Arrived++
-	g.stats.ArrivedBytes += uint64(pkt.Size)
-	if g.isOn {
-		g.deliver(pkt)
-		return
+	for _, pkt := range pkts {
+		g.stats.Arrived++
+		g.stats.ArrivedBytes += uint64(pkt.Size)
 	}
-	g.queue.Enqueue(pkt, g.loop.Now())
-}
-
-// SendBatch implements Box: an on-state train passes through as a train;
-// an off-state train is queued packet-by-packet (drops shorten it).
-func (g *GateBox) SendBatch(pkts []*Packet) {
-	if g.sink == nil {
-		panic("netem: GateBox.Send before SetSink")
-	}
-	if g.isOn && g.batchSink != nil {
+	if !g.isOn {
+		now := g.loop.Now()
 		for _, pkt := range pkts {
-			g.stats.Arrived++
-			g.stats.ArrivedBytes += uint64(pkt.Size)
-			g.stats.Delivered++
-			g.stats.DeliveredBytes += uint64(pkt.Size)
+			g.queue.Enqueue(pkt, now)
 		}
-		g.batchSink(pkts)
 		return
 	}
 	for _, pkt := range pkts {
-		g.Send(pkt)
+		g.stats.Delivered++
+		g.stats.DeliveredBytes += uint64(pkt.Size)
 	}
+	g.sink(pkts)
 }
 
 // SetSink implements Box.
 func (g *GateBox) SetSink(sink Sink) { g.sink = sink }
 
-// SetBatchSink implements Box.
-func (g *GateBox) SetBatchSink(sink BatchSink) { g.batchSink = sink }
-
 // Stats implements Box: queue gauges and drop counts are read through from
-// the shared QueueStats, so the batch and single-packet paths can never
-// disagree.
+// the qdisc's QueueStats, the one place they are kept.
 func (g *GateBox) Stats() BoxStats {
 	st := g.stats
 	qs := g.queue.QueueStats()

@@ -19,7 +19,7 @@ func geBitmap(model LossModel, seed uint64, n int) string {
 	loop.Schedule(0, func(sim.Time) {
 		for i := 0; i < n; i++ {
 			before := len(got)
-			l.Send(&Packet{Size: 100})
+			l.Send([]*Packet{{Size: 100}})
 			if len(got) > before {
 				b.WriteByte('1')
 			} else {
@@ -87,7 +87,7 @@ func TestLossModelSwapDeterminism(t *testing.T) {
 			at := sim.Time(i) * sim.Millisecond / 4
 			loop.Schedule(at, func(sim.Time) {
 				before := len(got)
-				l.Send(&Packet{Size: 100})
+				l.Send([]*Packet{{Size: 100}})
 				if len(got) > before {
 					b.WriteByte('1')
 				} else {

@@ -70,14 +70,12 @@ type ReorderBox struct {
 	count     uint64 // packets seen while enabled, for gap phase
 	displaced uint64
 	sink      Sink
-	batchSink BatchSink
 	stats     BoxStats
-	surv      []*Packet // recycled pass-through scratch for SendBatch
-	// open/mark/trains batch same-instant holds into one release event;
+	out       trainOut // in-order survivors
+	// open/mark batch same-instant holds into one release event;
 	// releaseFn is pre-bound once (see DelayBox).
 	open      *train
 	mark      uint64
-	trains    trainPool
 	releaseFn sim.ArgHandler
 }
 
@@ -136,7 +134,7 @@ func (r *ReorderBox) displace(pkt *Packet) bool {
 		r.open.pkts = append(r.open.pkts, pkt)
 		return true
 	}
-	t := r.trains.get()
+	t := getTrain()
 	t.exit = exit
 	t.pkts = append(t.pkts, pkt)
 	r.open = t
@@ -145,70 +143,24 @@ func (r *ReorderBox) displace(pkt *Packet) bool {
 	return true
 }
 
-// deliver hands one in-order packet to the sink.
-func (r *ReorderBox) deliver(pkt *Packet) {
-	r.stats.Delivered++
-	r.stats.DeliveredBytes += uint64(pkt.Size)
-	r.sink(pkt)
-}
-
-// Send implements Box.
-func (r *ReorderBox) Send(pkt *Packet) {
-	if r.sink == nil {
-		panic("netem: ReorderBox.Send before SetSink")
-	}
-	r.admit(pkt)
-	if r.prob == 0 || !r.displace(pkt) {
-		r.deliver(pkt)
-	}
-}
-
-// SendBatch implements Box: draws happen per packet in train order, the
+// Send implements Box: draws happen per packet in train order, the
 // in-order survivors continue as one train, and displaced packets join
 // hold trains.
-func (r *ReorderBox) SendBatch(pkts []*Packet) {
+func (r *ReorderBox) Send(pkts []*Packet) {
 	if r.sink == nil {
 		panic("netem: ReorderBox.Send before SetSink")
 	}
-	if r.prob == 0 {
-		for _, pkt := range pkts {
-			r.admit(pkt)
-			r.stats.Delivered++
-			r.stats.DeliveredBytes += uint64(pkt.Size)
-		}
-		if r.batchSink != nil {
-			r.batchSink(pkts)
-		} else {
-			for _, pkt := range pkts {
-				r.sink(pkt)
-			}
-		}
-		return
-	}
-	surv := r.surv[:0]
-	for _, pkt := range pkts {
+	for i, pkt := range pkts {
 		r.admit(pkt)
-		if !r.displace(pkt) {
-			surv = append(surv, pkt)
+		if r.prob > 0 && r.displace(pkt) {
+			r.out.diverge(pkts, i)
+			continue
 		}
-	}
-	for _, pkt := range surv {
 		r.stats.Delivered++
 		r.stats.DeliveredBytes += uint64(pkt.Size)
+		r.out.add(pkt)
 	}
-	if len(surv) > 0 {
-		if r.batchSink != nil {
-			r.batchSink(surv)
-		} else {
-			for _, pkt := range surv {
-				r.sink(pkt)
-			}
-		}
-	}
-	for i := range surv {
-		surv[i] = nil
-	}
-	r.surv = surv[:0]
+	r.out.send(pkts, r.sink)
 }
 
 // release delivers one hold train of displaced packets.
@@ -223,21 +175,12 @@ func (r *ReorderBox) release(_ sim.Time, arg any) {
 		r.stats.Delivered++
 		r.stats.DeliveredBytes += uint64(pkt.Size)
 	}
-	if r.batchSink != nil {
-		r.batchSink(t.pkts)
-	} else {
-		for _, pkt := range t.pkts {
-			r.sink(pkt)
-		}
-	}
-	r.trains.put(t)
+	r.sink(t.pkts)
+	putTrain(t)
 }
 
 // SetSink implements Box.
 func (r *ReorderBox) SetSink(sink Sink) { r.sink = sink }
-
-// SetBatchSink implements Box.
-func (r *ReorderBox) SetBatchSink(sink BatchSink) { r.batchSink = sink }
 
 // Stats implements Box.
 func (r *ReorderBox) Stats() BoxStats { return r.stats }
@@ -258,9 +201,8 @@ type DuplicateBox struct {
 	cd         corrDraw
 	duplicated uint64
 	sink       Sink
-	batchSink  BatchSink
 	stats      BoxStats
-	surv       []*Packet // recycled out-train scratch for SendBatch
+	out        trainOut // originals with their clones spliced in
 }
 
 // NewDuplicateBox returns a box duplicating packets with correlated
@@ -293,76 +235,30 @@ func (d *DuplicateBox) emit(pkt *Packet) {
 	d.stats.DeliveredBytes += uint64(pkt.Size)
 }
 
-// Send implements Box.
-func (d *DuplicateBox) Send(pkt *Packet) {
+// Send implements Box: draws per packet in train order; clones are spliced
+// in right after their originals and the (possibly longer) train continues
+// whole.
+func (d *DuplicateBox) Send(pkts []*Packet) {
 	if d.sink == nil {
 		panic("netem: DuplicateBox.Send before SetSink")
 	}
-	d.admit(pkt)
-	var cp *Packet
-	if d.prob > 0 && d.cd.hit(d.rng, d.prob, d.corr) {
-		d.duplicated++
-		cp = pkt.Clone()
-	}
-	d.emit(pkt)
-	d.sink(pkt)
-	if cp != nil {
-		d.emit(cp)
-		d.sink(cp)
-	}
-}
-
-// SendBatch implements Box: draws per packet in train order; clones are
-// spliced in right after their originals and the (possibly longer) train
-// continues whole.
-func (d *DuplicateBox) SendBatch(pkts []*Packet) {
-	if d.sink == nil {
-		panic("netem: DuplicateBox.Send before SetSink")
-	}
-	if d.prob == 0 {
-		for _, pkt := range pkts {
-			d.admit(pkt)
-			d.emit(pkt)
-		}
-		if d.batchSink != nil {
-			d.batchSink(pkts)
-		} else {
-			for _, pkt := range pkts {
-				d.sink(pkt)
-			}
-		}
-		return
-	}
-	out := d.surv[:0]
-	for _, pkt := range pkts {
+	for i, pkt := range pkts {
 		d.admit(pkt)
-		out = append(out, pkt)
-		if d.cd.hit(d.rng, d.prob, d.corr) {
-			d.duplicated++
-			out = append(out, pkt.Clone())
-		}
-	}
-	for _, pkt := range out {
 		d.emit(pkt)
-	}
-	if d.batchSink != nil {
-		d.batchSink(out)
-	} else {
-		for _, pkt := range out {
-			d.sink(pkt)
+		d.out.add(pkt)
+		if d.prob > 0 && d.cd.hit(d.rng, d.prob, d.corr) {
+			d.duplicated++
+			d.out.diverge(pkts, i+1)
+			cp := pkt.Clone()
+			d.emit(cp)
+			d.out.add(cp)
 		}
 	}
-	for i := range out {
-		out[i] = nil
-	}
-	d.surv = out[:0]
+	d.out.send(pkts, d.sink)
 }
 
 // SetSink implements Box.
 func (d *DuplicateBox) SetSink(sink Sink) { d.sink = sink }
-
-// SetBatchSink implements Box.
-func (d *DuplicateBox) SetBatchSink(sink BatchSink) { d.batchSink = sink }
 
 // Stats implements Box.
 func (d *DuplicateBox) Stats() BoxStats { return d.stats }
@@ -383,7 +279,6 @@ type CorruptBox struct {
 	cd        corrDraw
 	corrupted uint64
 	sink      Sink
-	batchSink BatchSink
 	stats     BoxStats
 }
 
@@ -416,38 +311,20 @@ func (c *CorruptBox) judge(pkt *Packet) {
 	c.stats.DeliveredBytes += uint64(pkt.Size)
 }
 
-// Send implements Box.
-func (c *CorruptBox) Send(pkt *Packet) {
-	if c.sink == nil {
-		panic("netem: CorruptBox.Send before SetSink")
-	}
-	c.judge(pkt)
-	c.sink(pkt)
-}
-
-// SendBatch implements Box: the train passes through whole; flags are set
-// in place.
-func (c *CorruptBox) SendBatch(pkts []*Packet) {
+// Send implements Box: the train passes through whole; flags are set in
+// place.
+func (c *CorruptBox) Send(pkts []*Packet) {
 	if c.sink == nil {
 		panic("netem: CorruptBox.Send before SetSink")
 	}
 	for _, pkt := range pkts {
 		c.judge(pkt)
 	}
-	if c.batchSink != nil {
-		c.batchSink(pkts)
-	} else {
-		for _, pkt := range pkts {
-			c.sink(pkt)
-		}
-	}
+	c.sink(pkts)
 }
 
 // SetSink implements Box.
 func (c *CorruptBox) SetSink(sink Sink) { c.sink = sink }
-
-// SetBatchSink implements Box.
-func (c *CorruptBox) SetBatchSink(sink BatchSink) { c.batchSink = sink }
 
 // Stats implements Box.
 func (c *CorruptBox) Stats() BoxStats { return c.stats }

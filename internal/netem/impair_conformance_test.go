@@ -56,14 +56,14 @@ func runImpairConformance(t *testing.T, seed uint64) {
 		seen[i] = map[int64]int{}
 	}
 	var sinkCount, sinkCorrupt uint64
-	pipe.SetSink(func(pkt *Packet) {
+	pipe.SetSink(each(func(pkt *Packet) {
 		sinkCount++
 		if pkt.Corrupt {
 			sinkCorrupt++
 		}
 		seen[int(pkt.Flow)][pkt.Seq]++
 		pool.Put(pkt)
-	})
+	}))
 
 	// Mid-run hot-swaps: every box changes parameters while packets are in
 	// flight (some parked inside the reorder box when its step fires).
@@ -76,8 +76,8 @@ func runImpairConformance(t *testing.T, seed uint64) {
 	script.DuplicateStep(140*sim.Millisecond, dup, 0, 0)
 
 	// Randomized arrival schedule: bursts of 0-3 packets per millisecond
-	// for 160ms, mixing single sends and trains so both the per-packet and
-	// batch paths run under every script phase.
+	// for 160ms, mixing whole trains with the same packets sent one by one
+	// as one-packet trains, so both shapes run under every script phase.
 	var offered uint64
 	nextSeq := make([]int64, nFlows)
 	for ms := 0; ms < 160; ms++ {
@@ -99,11 +99,11 @@ func runImpairConformance(t *testing.T, seed uint64) {
 		}
 		loop.Schedule(sim.Time(ms)*sim.Millisecond, func(sim.Time) {
 			if batch {
-				pipe.SendBatch(pkts)
-			} else {
-				for _, pkt := range pkts {
-					pipe.Send(pkt)
-				}
+				pipe.Send(pkts)
+				return
+			}
+			for _, pkt := range pkts {
+				pipe.Send([]*Packet{pkt})
 			}
 		})
 	}

@@ -17,11 +17,11 @@ func TestReorderBoxDisplacesOnVirtualClock(t *testing.T) {
 	// below); hold 10ms while senders emit every 1ms.
 	r := NewReorderBox(loop, 0.2, 0, 1, 10*sim.Millisecond, sim.NewRand(21))
 	var order []int64
-	r.SetSink(func(pkt *Packet) { order = append(order, pkt.Seq) })
+	r.SetSink(each(func(pkt *Packet) { order = append(order, pkt.Seq) }))
 	for i := 0; i < 12; i++ {
 		at := sim.Time(i) * sim.Millisecond
 		seq := int64(i)
-		loop.Schedule(at, func(sim.Time) { r.Send(&Packet{Size: 100, Seq: seq}) })
+		loop.Schedule(at, func(sim.Time) { r.Send([]*Packet{{Size: 100, Seq: seq}}) })
 	}
 	loop.Run()
 	if r.Displaced() == 0 {
@@ -58,10 +58,10 @@ func TestReorderBoxGapStride(t *testing.T) {
 	loop := sim.NewLoop()
 	r := NewReorderBox(loop, 1, 0, 2, 5*sim.Millisecond, sim.NewRand(1))
 	var order []int64
-	r.SetSink(func(pkt *Packet) { order = append(order, pkt.Seq) })
+	r.SetSink(each(func(pkt *Packet) { order = append(order, pkt.Seq) }))
 	loop.Schedule(0, func(sim.Time) {
 		for i := 0; i < 8; i++ {
-			r.Send(&Packet{Size: 100, Seq: int64(i)})
+			r.Send([]*Packet{{Size: 100, Seq: int64(i)}})
 		}
 	})
 	loop.Run()
@@ -82,21 +82,21 @@ func TestReorderBoxGapStride(t *testing.T) {
 // the pipeline and keeps scripted parameter steps aligned.
 func TestImpairDrawContract(t *testing.T) {
 	loop := sim.NewLoop()
-	sinkhole := func(*Packet) {}
+	sinkhole := func([]*Packet) {}
 
 	cases := []struct {
 		name    string
-		enabled func(rng *sim.Rand) func(*Packet) // returns Send with prob > 0
-		disab   func(rng *sim.Rand) func(*Packet) // returns Send with prob == 0
+		enabled func(rng *sim.Rand) Sink // returns Send with prob > 0
+		disab   func(rng *sim.Rand) Sink // returns Send with prob == 0
 	}{
 		{
 			"reorder",
-			func(rng *sim.Rand) func(*Packet) {
+			func(rng *sim.Rand) Sink {
 				b := NewReorderBox(loop, 0.3, 0.2, 1, 0, rng)
 				b.SetSink(sinkhole)
 				return b.Send
 			},
-			func(rng *sim.Rand) func(*Packet) {
+			func(rng *sim.Rand) Sink {
 				b := NewReorderBox(loop, 0, 0, 1, 0, rng)
 				b.SetSink(sinkhole)
 				return b.Send
@@ -104,12 +104,12 @@ func TestImpairDrawContract(t *testing.T) {
 		},
 		{
 			"duplicate",
-			func(rng *sim.Rand) func(*Packet) {
+			func(rng *sim.Rand) Sink {
 				b := NewDuplicateBox(0.3, 0.2, rng)
 				b.SetSink(sinkhole)
 				return b.Send
 			},
-			func(rng *sim.Rand) func(*Packet) {
+			func(rng *sim.Rand) Sink {
 				b := NewDuplicateBox(0, 0, rng)
 				b.SetSink(sinkhole)
 				return b.Send
@@ -117,12 +117,12 @@ func TestImpairDrawContract(t *testing.T) {
 		},
 		{
 			"corrupt",
-			func(rng *sim.Rand) func(*Packet) {
+			func(rng *sim.Rand) Sink {
 				b := NewCorruptBox(0.3, 0.2, rng)
 				b.SetSink(sinkhole)
 				return b.Send
 			},
-			func(rng *sim.Rand) func(*Packet) {
+			func(rng *sim.Rand) Sink {
 				b := NewCorruptBox(0, 0, rng)
 				b.SetSink(sinkhole)
 				return b.Send
@@ -135,7 +135,7 @@ func TestImpairDrawContract(t *testing.T) {
 		send := tc.enabled(rng)
 		loop.Schedule(0, func(sim.Time) {
 			for i := 0; i < n; i++ {
-				send(&Packet{Size: 100})
+				send([]*Packet{{Size: 100}})
 			}
 		})
 		loop.Run()
@@ -151,7 +151,7 @@ func TestImpairDrawContract(t *testing.T) {
 		send2 := tc.disab(rng2)
 		loop.Schedule(0, func(sim.Time) {
 			for i := 0; i < n; i++ {
-				send2(&Packet{Size: 100})
+				send2([]*Packet{{Size: 100}})
 			}
 		})
 		loop.Run()
@@ -162,27 +162,23 @@ func TestImpairDrawContract(t *testing.T) {
 }
 
 // TestDisabledBoxesPreserveTrains: a disabled impairment box must pass a
-// batch through as ONE batch-sink call — splitting trains would change
+// train to its sink undivided, in ONE call — splitting trains would change
 // downstream DelayBox train grouping and therefore artifact bytes.
 func TestDisabledBoxesPreserveTrains(t *testing.T) {
 	loop := sim.NewLoop()
 	pkts := []*Packet{{Size: 1}, {Size: 2}, {Size: 3}}
-	check := func(name string, setSinks func(batch BatchSink, sink Sink), sendBatch func([]*Packet)) {
-		calls := 0
-		var got int
-		setSinks(func(b []*Packet) { calls++; got = len(b) }, func(*Packet) { t.Fatalf("%s: per-packet fallback used despite batch sink", name) })
-		loop.Schedule(0, func(sim.Time) { sendBatch(pkts) })
+	check := func(name string, b Box) {
+		calls, got := 0, 0
+		b.SetSink(func(train []*Packet) { calls++; got = len(train) })
+		loop.Schedule(0, func(sim.Time) { b.Send(pkts) })
 		loop.Run()
 		if calls != 1 || got != 3 {
-			t.Errorf("%s: batch calls=%d len=%d, want 1 call of 3", name, calls, got)
+			t.Errorf("%s: sink calls=%d len=%d, want 1 call of 3", name, calls, got)
 		}
 	}
-	r := NewReorderBox(loop, 0, 0, 1, sim.Millisecond, sim.NewRand(1))
-	check("reorder", func(b BatchSink, s Sink) { r.SetSink(s); r.SetBatchSink(b) }, r.SendBatch)
-	d := NewDuplicateBox(0, 0, sim.NewRand(1))
-	check("duplicate", func(b BatchSink, s Sink) { d.SetSink(s); d.SetBatchSink(b) }, d.SendBatch)
-	c := NewCorruptBox(0, 0, sim.NewRand(1))
-	check("corrupt", func(b BatchSink, s Sink) { c.SetSink(s); c.SetBatchSink(b) }, c.SendBatch)
+	check("reorder", NewReorderBox(loop, 0, 0, 1, sim.Millisecond, sim.NewRand(1)))
+	check("duplicate", NewDuplicateBox(0, 0, sim.NewRand(1)))
+	check("corrupt", NewCorruptBox(0, 0, sim.NewRand(1)))
 }
 
 // TestDuplicateBoxClonesFromPool: clones come from the original's pool (the
@@ -193,12 +189,12 @@ func TestDuplicateBoxClonesFromPool(t *testing.T) {
 	var pool PacketPool
 	d := NewDuplicateBox(1, 0, sim.NewRand(5)) // duplicate everything
 	var got []*Packet
-	d.SetSink(func(pkt *Packet) { got = append(got, pkt) })
+	d.SetSink(each(func(pkt *Packet) { got = append(got, pkt) }))
 	loop.Schedule(0, func(sim.Time) {
 		for i := 0; i < 4; i++ {
 			pkt := pool.Get()
 			pkt.Size, pkt.Flow, pkt.Seq, pkt.ECT = 100+i, 7, int64(i), true
-			d.Send(pkt)
+			d.Send([]*Packet{pkt})
 		}
 	})
 	loop.Run()
@@ -232,22 +228,21 @@ func TestDuplicateBoxClonesFromPool(t *testing.T) {
 	}
 }
 
-// TestDuplicateBoxBatchSplicesClones: in SendBatch, clones ride in the same
-// train, spliced directly after their originals.
+// TestDuplicateBoxBatchSplicesClones: clones ride in the same train as
+// their originals, spliced directly after them.
 func TestDuplicateBoxBatchSplicesClones(t *testing.T) {
 	loop := sim.NewLoop()
 	d := NewDuplicateBox(1, 0, sim.NewRand(5))
 	var batches [][]int64
-	d.SetBatchSink(func(pkts []*Packet) {
+	d.SetSink(func(pkts []*Packet) {
 		var seqs []int64
 		for _, p := range pkts {
 			seqs = append(seqs, p.Seq)
 		}
 		batches = append(batches, seqs)
 	})
-	d.SetSink(func(*Packet) { t.Fatal("per-packet fallback used despite batch sink") })
 	loop.Schedule(0, func(sim.Time) {
-		d.SendBatch([]*Packet{{Seq: 1}, {Seq: 2}, {Seq: 3}})
+		d.Send([]*Packet{{Seq: 1}, {Seq: 2}, {Seq: 3}})
 	})
 	loop.Run()
 	if len(batches) != 1 || fmt.Sprint(batches[0]) != "[1 1 2 2 3 3]" {
@@ -261,17 +256,17 @@ func TestCorruptBoxFlagsInPlace(t *testing.T) {
 	loop := sim.NewLoop()
 	c := NewCorruptBox(0.3, 0, sim.NewRand(9))
 	var flagged, clean int
-	c.SetSink(func(pkt *Packet) {
+	c.SetSink(each(func(pkt *Packet) {
 		if pkt.Corrupt {
 			flagged++
 		} else {
 			clean++
 		}
-	})
+	}))
 	const n = 1000
 	loop.Schedule(0, func(sim.Time) {
 		for i := 0; i < n; i++ {
-			c.Send(&Packet{Size: 100})
+			c.Send([]*Packet{{Size: 100}})
 		}
 	})
 	loop.Run()
@@ -299,17 +294,17 @@ func TestImpairScriptSteps(t *testing.T) {
 		r := NewReorderBox(loop, 0, 0, 1, 2*sim.Millisecond, sim.NewRand(11))
 		d := NewDuplicateBox(0, 0, sim.NewRand(12))
 		c := NewCorruptBox(0, 0, sim.NewRand(13))
-		r.SetSink(func(pkt *Packet) { d.Send(pkt) })
-		d.SetSink(func(pkt *Packet) { c.Send(pkt) })
+		r.SetSink(d.Send)
+		d.SetSink(c.Send)
 		var b strings.Builder
-		c.SetSink(func(pkt *Packet) {
+		c.SetSink(each(func(pkt *Packet) {
 			switch {
 			case pkt.Corrupt:
 				b.WriteByte('x')
 			default:
 				b.WriteByte('0' + byte(pkt.Seq%10))
 			}
-		})
+		}))
 		script := NewScenarioScript(loop)
 		script.ReorderStep(5*sim.Millisecond, r, 0.5, 0.2)
 		script.DuplicateStep(10*sim.Millisecond, d, 0.3, 0)
@@ -320,7 +315,7 @@ func TestImpairScriptSteps(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			at := sim.Time(i) * sim.Millisecond / 2
 			seq := int64(i)
-			loop.Schedule(at, func(sim.Time) { r.Send(&Packet{Size: 100, Seq: seq}) })
+			loop.Schedule(at, func(sim.Time) { r.Send([]*Packet{{Size: 100, Seq: seq}}) })
 		}
 		loop.Run()
 		script.Finish(loop.Now())

@@ -148,7 +148,7 @@ func TestMarkov4StateScriptSwap(t *testing.T) {
 			at := sim.Time(i) * sim.Millisecond / 4
 			loop.Schedule(at, func(sim.Time) {
 				before := len(got)
-				l.Send(&Packet{Size: 100})
+				l.Send([]*Packet{{Size: 100}})
 				if len(got) > before {
 					b.WriteByte('1')
 				} else {

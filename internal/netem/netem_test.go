@@ -8,7 +8,17 @@ import (
 )
 
 func collect(dst *[]*Packet) Sink {
-	return func(p *Packet) { *dst = append(*dst, p) }
+	return each(func(p *Packet) { *dst = append(*dst, p) })
+}
+
+// each adapts a per-packet callback into a Sink that visits every packet
+// of every train in delivery order.
+func each(fn func(*Packet)) Sink {
+	return func(pkts []*Packet) {
+		for _, p := range pkts {
+			fn(p)
+		}
+	}
 }
 
 func TestWirePassthrough(t *testing.T) {
@@ -16,7 +26,7 @@ func TestWirePassthrough(t *testing.T) {
 	var got []*Packet
 	w.SetSink(collect(&got))
 	p := &Packet{Size: 100, Flow: 1}
-	w.Send(p)
+	w.Send([]*Packet{p})
 	if len(got) != 1 || got[0] != p {
 		t.Fatalf("wire did not deliver packet")
 	}
@@ -32,17 +42,17 @@ func TestWirePanicsWithoutSink(t *testing.T) {
 			t.Fatal("Send without sink did not panic")
 		}
 	}()
-	NewWire().Send(&Packet{Size: 1})
+	NewWire().Send([]*Packet{{Size: 1}})
 }
 
 func TestDelayBoxFixedDelay(t *testing.T) {
 	loop := sim.NewLoop()
 	d := NewDelayBox(loop, 30*sim.Millisecond)
 	var deliveredAt []sim.Time
-	d.SetSink(func(*Packet) { deliveredAt = append(deliveredAt, loop.Now()) })
+	d.SetSink(each(func(*Packet) { deliveredAt = append(deliveredAt, loop.Now()) }))
 
-	loop.Schedule(0, func(sim.Time) { d.Send(&Packet{Size: MTU}) })
-	loop.Schedule(5*sim.Millisecond, func(sim.Time) { d.Send(&Packet{Size: MTU}) })
+	loop.Schedule(0, func(sim.Time) { d.Send([]*Packet{{Size: MTU}}) })
+	loop.Schedule(5*sim.Millisecond, func(sim.Time) { d.Send([]*Packet{{Size: MTU}}) })
 	loop.Run()
 
 	want := []sim.Time{30 * sim.Millisecond, 35 * sim.Millisecond}
@@ -56,7 +66,7 @@ func TestDelayBoxZeroDelay(t *testing.T) {
 	d := NewDelayBox(loop, 0)
 	var got []*Packet
 	d.SetSink(collect(&got))
-	loop.Schedule(sim.Millisecond, func(sim.Time) { d.Send(&Packet{Size: 40}) })
+	loop.Schedule(sim.Millisecond, func(sim.Time) { d.Send([]*Packet{{Size: 40}}) })
 	loop.Run()
 	if len(got) != 1 {
 		t.Fatal("zero-delay box did not deliver")
@@ -83,7 +93,7 @@ func TestDelayBoxFIFO(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		seq := int64(i)
 		loop.Schedule(sim.Time(i)*sim.Microsecond, func(sim.Time) {
-			d.Send(&Packet{Size: MTU, Seq: seq})
+			d.Send([]*Packet{{Size: MTU, Seq: seq}})
 		})
 	}
 	loop.Run()
@@ -109,16 +119,16 @@ func TestDelayBoxProperty(t *testing.T) {
 		d := NewDelayBox(loop, delay)
 		sendTimes := map[int64]sim.Time{}
 		ok := true
-		d.SetSink(func(p *Packet) {
+		d.SetSink(each(func(p *Packet) {
 			if loop.Now()-sendTimes[p.Seq] != delay {
 				ok = false
 			}
-		})
+		}))
 		for i, off := range offsets {
 			seq := int64(i)
 			at := sim.Time(off) * sim.Microsecond
 			sendTimes[seq] = at
-			loop.ScheduleAt(at, func(sim.Time) { d.Send(&Packet{Size: 100, Seq: seq}) })
+			loop.ScheduleAt(at, func(sim.Time) { d.Send([]*Packet{{Size: 100, Seq: seq}}) })
 		}
 		loop.Run()
 		return ok
@@ -134,7 +144,7 @@ func TestLossBoxZeroAndOne(t *testing.T) {
 	var got []*Packet
 	never.SetSink(collect(&got))
 	for i := 0; i < 100; i++ {
-		never.Send(&Packet{Size: 10})
+		never.Send([]*Packet{{Size: 10}})
 	}
 	if len(got) != 100 {
 		t.Fatalf("loss 0 delivered %d/100", len(got))
@@ -144,7 +154,7 @@ func TestLossBoxZeroAndOne(t *testing.T) {
 	got = nil
 	always.SetSink(collect(&got))
 	for i := 0; i < 100; i++ {
-		always.Send(&Packet{Size: 10})
+		always.Send([]*Packet{{Size: 10}})
 	}
 	if len(got) != 0 {
 		t.Fatalf("loss 1 delivered %d/100", len(got))
@@ -158,10 +168,10 @@ func TestLossBoxApproximatesRate(t *testing.T) {
 	rng := sim.NewRand(2)
 	l := NewLossBox(0.3, rng)
 	delivered := 0
-	l.SetSink(func(*Packet) { delivered++ })
+	l.SetSink(each(func(*Packet) { delivered++ }))
 	const n = 20000
 	for i := 0; i < n; i++ {
-		l.Send(&Packet{Size: 10})
+		l.Send([]*Packet{{Size: 10}})
 	}
 	rate := float64(n-delivered) / n
 	if rate < 0.28 || rate > 0.32 {
@@ -183,11 +193,11 @@ func TestRateBoxSerialization(t *testing.T) {
 	// 12 Mbit/s: one 1500-byte packet per millisecond.
 	r := NewRateBox(loop, 12_000_000, nil)
 	var at []sim.Time
-	r.SetSink(func(*Packet) { at = append(at, loop.Now()) })
+	r.SetSink(each(func(*Packet) { at = append(at, loop.Now()) }))
 	loop.Schedule(0, func(sim.Time) {
-		r.Send(&Packet{Size: MTU})
-		r.Send(&Packet{Size: MTU})
-		r.Send(&Packet{Size: MTU})
+		r.Send([]*Packet{{Size: MTU}})
+		r.Send([]*Packet{{Size: MTU}})
+		r.Send([]*Packet{{Size: MTU}})
 	})
 	loop.Run()
 	want := []sim.Time{sim.Millisecond, 2 * sim.Millisecond, 3 * sim.Millisecond}
@@ -205,10 +215,10 @@ func TestRateBoxQueueLimit(t *testing.T) {
 	loop := sim.NewLoop()
 	r := NewRateBox(loop, 12_000_000, NewDropTail(2, 0))
 	delivered := 0
-	r.SetSink(func(*Packet) { delivered++ })
+	r.SetSink(each(func(*Packet) { delivered++ }))
 	loop.Schedule(0, func(sim.Time) {
 		for i := 0; i < 10; i++ {
-			r.Send(&Packet{Size: MTU})
+			r.Send([]*Packet{{Size: MTU}})
 		}
 	})
 	loop.Run()
@@ -428,10 +438,10 @@ func TestTraceBoxReleasesAtOpportunities(t *testing.T) {
 	}}
 	tb := NewTraceBox(loop, opps, nil)
 	var at []sim.Time
-	tb.SetSink(func(*Packet) { at = append(at, loop.Now()) })
+	tb.SetSink(each(func(*Packet) { at = append(at, loop.Now()) }))
 	loop.Schedule(0, func(sim.Time) {
-		tb.Send(&Packet{Size: MTU})
-		tb.Send(&Packet{Size: MTU})
+		tb.Send([]*Packet{{Size: MTU}})
+		tb.Send([]*Packet{{Size: MTU}})
 	})
 	loop.Run()
 	if len(at) != 2 || at[0] != 10*sim.Millisecond || at[1] != 20*sim.Millisecond {
@@ -444,10 +454,10 @@ func TestTraceBoxSmallPacketConsumesOpportunity(t *testing.T) {
 	opps := &fixedOpps{times: []sim.Time{10 * sim.Millisecond, 20 * sim.Millisecond}}
 	tb := NewTraceBox(loop, opps, nil)
 	var at []sim.Time
-	tb.SetSink(func(*Packet) { at = append(at, loop.Now()) })
+	tb.SetSink(each(func(*Packet) { at = append(at, loop.Now()) }))
 	loop.Schedule(0, func(sim.Time) {
-		tb.Send(&Packet{Size: 40}) // tiny packet still takes a full opportunity
-		tb.Send(&Packet{Size: 40})
+		tb.Send([]*Packet{{Size: 40}}) // tiny packet still takes a full opportunity
+		tb.Send([]*Packet{{Size: 40}})
 	})
 	loop.Run()
 	if len(at) != 2 || at[0] != 10*sim.Millisecond || at[1] != 20*sim.Millisecond {
@@ -462,9 +472,9 @@ func TestTraceBoxLargePacketMultipleOpportunities(t *testing.T) {
 	}}
 	tb := NewTraceBox(loop, opps, nil)
 	var at []sim.Time
-	tb.SetSink(func(*Packet) { at = append(at, loop.Now()) })
+	tb.SetSink(each(func(*Packet) { at = append(at, loop.Now()) }))
 	loop.Schedule(0, func(sim.Time) {
-		tb.Send(&Packet{Size: 2 * MTU}) // needs two opportunities
+		tb.Send([]*Packet{{Size: 2 * MTU}}) // needs two opportunities
 	})
 	loop.Run()
 	if len(at) != 1 || at[0] != 20*sim.Millisecond {
@@ -477,10 +487,10 @@ func TestTraceBoxIdleThenBurst(t *testing.T) {
 	opps := &fixedOpps{times: []sim.Time{5 * sim.Millisecond, 10 * sim.Millisecond}}
 	tb := NewTraceBox(loop, opps, nil)
 	var at []sim.Time
-	tb.SetSink(func(*Packet) { at = append(at, loop.Now()) })
+	tb.SetSink(each(func(*Packet) { at = append(at, loop.Now()) }))
 	// Send long after early opportunities have passed; the box must use the
 	// next future opportunity (looped), not a stale one.
-	loop.Schedule(42*sim.Millisecond, func(sim.Time) { tb.Send(&Packet{Size: MTU}) })
+	loop.Schedule(42*sim.Millisecond, func(sim.Time) { tb.Send([]*Packet{{Size: MTU}}) })
 	loop.Run()
 	if len(at) != 1 || at[0] <= 42*sim.Millisecond {
 		t.Fatalf("delivery at %v, want >42ms", at)
@@ -492,10 +502,10 @@ func TestTraceBoxDropTail(t *testing.T) {
 	opps := &fixedOpps{times: []sim.Time{100 * sim.Millisecond}}
 	tb := NewTraceBox(loop, opps, NewDropTail(3, 0))
 	delivered := 0
-	tb.SetSink(func(*Packet) { delivered++ })
+	tb.SetSink(each(func(*Packet) { delivered++ }))
 	loop.Schedule(0, func(sim.Time) {
 		for i := 0; i < 10; i++ {
-			tb.Send(&Packet{Size: MTU})
+			tb.Send([]*Packet{{Size: MTU}})
 		}
 	})
 	loop.RunUntil(sim.Second)
@@ -510,8 +520,8 @@ func TestPipelineOrderAndDelivery(t *testing.T) {
 	d2 := NewDelayBox(loop, 5*sim.Millisecond)
 	p := NewPipeline(d1, d2)
 	var at []sim.Time
-	p.SetSink(func(*Packet) { at = append(at, loop.Now()) })
-	loop.Schedule(0, func(sim.Time) { p.Send(&Packet{Size: MTU}) })
+	p.SetSink(each(func(*Packet) { at = append(at, loop.Now()) }))
+	loop.Schedule(0, func(sim.Time) { p.Send([]*Packet{{Size: MTU}}) })
 	loop.Run()
 	if len(at) != 1 || at[0] != 15*sim.Millisecond {
 		t.Fatalf("pipeline delivery at %v, want 15ms", at)
@@ -522,7 +532,7 @@ func TestEmptyPipelineIsWire(t *testing.T) {
 	p := NewPipeline()
 	var got []*Packet
 	p.SetSink(collect(&got))
-	p.Send(&Packet{Size: 7})
+	p.Send([]*Packet{{Size: 7}})
 	if len(got) != 1 {
 		t.Fatal("empty pipeline did not deliver")
 	}
@@ -532,8 +542,8 @@ func TestPipelineStats(t *testing.T) {
 	loop := sim.NewLoop()
 	lossy := NewLossBox(1, sim.NewRand(1))
 	p := NewPipeline(NewDelayBox(loop, sim.Millisecond), lossy)
-	p.SetSink(func(*Packet) {})
-	loop.Schedule(0, func(sim.Time) { p.Send(&Packet{Size: 10}) })
+	p.SetSink(each(func(*Packet) {}))
+	loop.Schedule(0, func(sim.Time) { p.Send([]*Packet{{Size: 10}}) })
 	loop.Run()
 	st := p.Stats()
 	if st.Arrived != 1 || st.Delivered != 0 || st.Dropped != 1 {
@@ -553,11 +563,11 @@ func TestDuplexNest(t *testing.T) {
 	)
 	combined := inner.Nest(outer)
 	var upAt, downAt sim.Time
-	combined.Up.SetSink(func(*Packet) { upAt = loop.Now() })
-	combined.Down.SetSink(func(*Packet) { downAt = loop.Now() })
+	combined.Up.SetSink(each(func(*Packet) { upAt = loop.Now() }))
+	combined.Down.SetSink(each(func(*Packet) { downAt = loop.Now() }))
 	loop.Schedule(0, func(sim.Time) {
-		combined.Up.Send(&Packet{Size: MTU})
-		combined.Down.Send(&Packet{Size: MTU})
+		combined.Up.Send([]*Packet{{Size: MTU}})
+		combined.Down.Send([]*Packet{{Size: MTU}})
 	})
 	loop.Run()
 	if upAt != 15*sim.Millisecond || downAt != 15*sim.Millisecond {
@@ -575,10 +585,10 @@ func TestPacketString(t *testing.T) {
 func TestDelayBoxStats(t *testing.T) {
 	loop := sim.NewLoop()
 	d := NewDelayBox(loop, 5*sim.Millisecond)
-	d.SetSink(func(*Packet) {})
+	d.SetSink(each(func(*Packet) {}))
 	loop.Schedule(0, func(sim.Time) {
 		for i := 0; i < 10; i++ {
-			d.Send(&Packet{Size: 100})
+			d.Send([]*Packet{{Size: 100}})
 		}
 	})
 	loop.RunUntil(sim.Millisecond)
@@ -596,8 +606,8 @@ func TestGateBoxPassesWhileOn(t *testing.T) {
 	loop := sim.NewLoop()
 	g := NewGateBox(loop, 100*sim.Millisecond, 50*sim.Millisecond, 0, nil, nil)
 	var at []sim.Time
-	g.SetSink(func(*Packet) { at = append(at, loop.Now()) })
-	loop.Schedule(10*sim.Millisecond, func(sim.Time) { g.Send(&Packet{Size: MTU}) })
+	g.SetSink(each(func(*Packet) { at = append(at, loop.Now()) }))
+	loop.Schedule(10*sim.Millisecond, func(sim.Time) { g.Send([]*Packet{{Size: MTU}}) })
 	loop.RunUntil(400 * sim.Millisecond)
 	if len(at) != 1 || at[0] != 10*sim.Millisecond {
 		t.Fatalf("on-period delivery at %v, want 10ms", at)
@@ -609,9 +619,9 @@ func TestGateBoxHoldsWhileOff(t *testing.T) {
 	// On 100ms, off 50ms: off during [100,150).
 	g := NewGateBox(loop, 100*sim.Millisecond, 50*sim.Millisecond, 0, nil, nil)
 	var at []sim.Time
-	g.SetSink(func(*Packet) { at = append(at, loop.Now()) })
-	loop.Schedule(120*sim.Millisecond, func(sim.Time) { g.Send(&Packet{Size: MTU}) })
-	loop.Schedule(130*sim.Millisecond, func(sim.Time) { g.Send(&Packet{Size: MTU}) })
+	g.SetSink(each(func(*Packet) { at = append(at, loop.Now()) }))
+	loop.Schedule(120*sim.Millisecond, func(sim.Time) { g.Send([]*Packet{{Size: MTU}}) })
+	loop.Schedule(130*sim.Millisecond, func(sim.Time) { g.Send([]*Packet{{Size: MTU}}) })
 	loop.RunUntil(400 * sim.Millisecond)
 	if len(at) != 2 {
 		t.Fatalf("delivered %d packets", len(at))
@@ -630,9 +640,9 @@ func TestGateBoxAlwaysOnWithZeroOff(t *testing.T) {
 	loop := sim.NewLoop()
 	g := NewGateBox(loop, 10*sim.Millisecond, 0, 0, nil, nil)
 	n := 0
-	g.SetSink(func(*Packet) { n++ })
+	g.SetSink(each(func(*Packet) { n++ }))
 	for i := 0; i < 100; i++ {
-		loop.Schedule(sim.Time(i)*sim.Millisecond, func(sim.Time) { g.Send(&Packet{Size: 1}) })
+		loop.Schedule(sim.Time(i)*sim.Millisecond, func(sim.Time) { g.Send([]*Packet{{Size: 1}}) })
 	}
 	loop.Run()
 	if n != 100 {
@@ -647,10 +657,10 @@ func TestGateBoxQueueLimitDrops(t *testing.T) {
 	loop := sim.NewLoop()
 	g := NewGateBox(loop, 100*sim.Millisecond, 100*sim.Millisecond, 0, nil, NewDropTail(1, 0))
 	n := 0
-	g.SetSink(func(*Packet) { n++ })
+	g.SetSink(each(func(*Packet) { n++ }))
 	loop.Schedule(110*sim.Millisecond, func(sim.Time) {
-		g.Send(&Packet{Size: 1})
-		g.Send(&Packet{Size: 1}) // over the 1-packet outage queue
+		g.Send([]*Packet{{Size: 1}})
+		g.Send([]*Packet{{Size: 1}}) // over the 1-packet outage queue
 	})
 	loop.RunUntil(500 * sim.Millisecond)
 	if n != 1 || g.Stats().Dropped != 1 {

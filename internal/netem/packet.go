@@ -167,33 +167,25 @@ func (p *Packet) String() string {
 	return fmt.Sprintf("pkt{flow=%d seq=%d size=%d}", p.Flow, p.Seq, p.Size)
 }
 
-// Sink consumes delivered packets.
-type Sink func(pkt *Packet)
+// Sink consumes delivered packets as a train: a contiguous run of packets
+// delivered at one virtual instant whose per-packet deliveries are provably
+// adjacent in event-firing order (nothing else may fire between them), so
+// the whole run can be handed over in one call. A single packet is a
+// one-packet train. The slice is owned by the caller and valid only for the
+// duration of the call; consumers must not retain it.
+type Sink func(pkts []*Packet)
 
-// BatchSink consumes a packet train: a contiguous run of packets delivered
-// at one virtual instant whose per-packet deliveries are provably adjacent
-// in event-firing order (nothing else may fire between them), so the whole
-// run can be handed over in one call. The slice is owned by the caller and
-// valid only for the duration of the call; consumers must not retain it.
-type BatchSink func(pkts []*Packet)
-
-// Box is a unidirectional packet processor: packets enter via Send (or, as
-// a train, SendBatch) and are eventually handed to the sink (or dropped).
+// Box is a unidirectional packet processor: trains enter via Send and their
+// packets are eventually handed to the sink (or dropped).
 type Box interface {
-	// Send injects a packet into the box at the current virtual time.
-	Send(pkt *Packet)
-	// SendBatch injects a same-instant packet train. It is semantically
-	// identical to calling Send for each packet in order with nothing in
-	// between; boxes use the batch shape to do per-train instead of
-	// per-packet work (one delivery event, one queue arm).
-	SendBatch(pkts []*Packet)
+	// Send injects a same-instant packet train at the current virtual
+	// time; a single packet is a one-packet train. Boxes use the train
+	// shape to do per-train instead of per-packet work (one delivery
+	// event, one queue arm). The box must not retain the slice.
+	Send(pkts []*Packet)
 	// SetSink installs the delivery callback. It must be called before the
 	// first Send.
 	SetSink(sink Sink)
-	// SetBatchSink installs the train delivery callback. Optional: a box
-	// whose downstream never sets one delivers trains packet-by-packet
-	// through the plain sink, which is behaviorally identical.
-	SetBatchSink(sink BatchSink)
 	// Stats reports the box's counters.
 	Stats() BoxStats
 }
@@ -221,35 +213,16 @@ type BoxStats struct {
 // Pipeline and as the baseline in overhead experiments (Figure 2's
 // "ReplayShell alone" stack).
 type Wire struct {
-	sink      Sink
-	batchSink BatchSink
-	stats     BoxStats
+	sink  Sink
+	stats BoxStats
 }
 
 // NewWire returns a passthrough box.
 func NewWire() *Wire { return &Wire{} }
 
-// Send implements Box: immediate, in-order delivery.
-func (w *Wire) Send(pkt *Packet) {
-	w.stats.Arrived++
-	w.stats.ArrivedBytes += uint64(pkt.Size)
-	w.stats.Delivered++
-	w.stats.DeliveredBytes += uint64(pkt.Size)
-	if w.sink == nil {
-		panic("netem: Wire.Send before SetSink")
-	}
-	w.sink(pkt)
-}
-
-// SendBatch implements Box: a train passes through untouched — and, when
-// the downstream installed a batch sink, undivided.
-func (w *Wire) SendBatch(pkts []*Packet) {
-	if w.batchSink == nil {
-		for _, pkt := range pkts {
-			w.Send(pkt)
-		}
-		return
-	}
+// Send implements Box: immediate, in-order delivery; the train passes
+// through undivided.
+func (w *Wire) Send(pkts []*Packet) {
 	if w.sink == nil {
 		panic("netem: Wire.Send before SetSink")
 	}
@@ -259,14 +232,11 @@ func (w *Wire) SendBatch(pkts []*Packet) {
 		w.stats.Delivered++
 		w.stats.DeliveredBytes += uint64(pkt.Size)
 	}
-	w.batchSink(pkts)
+	w.sink(pkts)
 }
 
 // SetSink implements Box.
 func (w *Wire) SetSink(sink Sink) { w.sink = sink }
-
-// SetBatchSink implements Box.
-func (w *Wire) SetBatchSink(sink BatchSink) { w.batchSink = sink }
 
 // Stats implements Box.
 func (w *Wire) Stats() BoxStats { return w.stats }

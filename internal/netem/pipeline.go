@@ -22,43 +22,27 @@ func NewPipeline(boxes ...Box) *Pipeline {
 }
 
 // Append adds a box at the downstream end of the pipeline (just before the
-// sink). Must not be called after traffic has started flowing. Boxes are
-// chained through both the per-packet and the train path, so a train
+// sink). Must not be called after traffic has started flowing. A train
 // formed anywhere upstream continues through the whole pipeline.
 func (p *Pipeline) Append(b Box) {
 	if len(p.boxes) > 0 {
-		prev := p.boxes[len(p.boxes)-1]
-		prev.SetSink(b.Send)
-		prev.SetBatchSink(b.SendBatch)
+		p.boxes[len(p.boxes)-1].SetSink(b.Send)
 	}
 	b.SetSink(p.tail.Send)
-	b.SetBatchSink(p.tail.SendBatch)
 	p.boxes = append(p.boxes, b)
 }
 
 // Send implements Box.
-func (p *Pipeline) Send(pkt *Packet) {
+func (p *Pipeline) Send(pkts []*Packet) {
 	if len(p.boxes) == 0 {
-		p.tail.Send(pkt)
+		p.tail.Send(pkts)
 		return
 	}
-	p.boxes[0].Send(pkt)
-}
-
-// SendBatch implements Box.
-func (p *Pipeline) SendBatch(pkts []*Packet) {
-	if len(p.boxes) == 0 {
-		p.tail.SendBatch(pkts)
-		return
-	}
-	p.boxes[0].SendBatch(pkts)
+	p.boxes[0].Send(pkts)
 }
 
 // SetSink implements Box.
 func (p *Pipeline) SetSink(sink Sink) { p.tail.SetSink(sink) }
-
-// SetBatchSink implements Box.
-func (p *Pipeline) SetBatchSink(sink BatchSink) { p.tail.SetBatchSink(sink) }
 
 // Stats implements Box: aggregate view where Arrived counts ingress to the
 // first box and Delivered counts egress from the last.

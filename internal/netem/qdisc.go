@@ -343,9 +343,8 @@ type qdiscBase struct {
 }
 
 // admit stamps and stores one packet, maintaining the shared gauges. Every
-// discipline's Enqueue funnels through here, which is what keeps the batch
-// (SendBatch) and single-packet box paths in agreement: there is exactly
-// one place queue gauges are updated.
+// discipline's Enqueue funnels through here: there is exactly one place
+// queue gauges are updated.
 func (b *qdiscBase) admit(pkt *Packet, now sim.Time) {
 	pkt.enq = now
 	b.ring.push(pkt)

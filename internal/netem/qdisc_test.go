@@ -270,8 +270,9 @@ func TestCoDelPhysicalBound(t *testing.T) {
 }
 
 // TestGateBoxOffPeriodBacklogOrdering: packets held across an outage are
-// released strictly in arrival order at the restore instant, with batch
-// and per-packet sinks agreeing.
+// released strictly in arrival order at the restore instant, as one train,
+// whether the outage traffic arrived as a train or as the same packets
+// sent one by one as one-packet trains.
 func TestGateBoxOffPeriodBacklogOrdering(t *testing.T) {
 	for _, useBatch := range []bool{false, true} {
 		name := "per-packet"
@@ -284,24 +285,30 @@ func TestGateBoxOffPeriodBacklogOrdering(t *testing.T) {
 			g := NewGateBox(loop, 100*sim.Millisecond, 100*sim.Millisecond, 0, nil, nil)
 			var seqs []int64
 			var at []sim.Time
-			g.SetSink(func(p *Packet) { seqs = append(seqs, p.Seq); at = append(at, loop.Now()) })
-			if useBatch {
-				g.SetBatchSink(func(pkts []*Packet) {
-					for _, p := range pkts {
-						seqs = append(seqs, p.Seq)
-						at = append(at, loop.Now())
-					}
-				})
-			}
-			// Interleave singles and a train during the outage.
-			loop.Schedule(110*sim.Millisecond, func(sim.Time) { g.Send(&Packet{Size: 1, Seq: 0}) })
-			loop.Schedule(120*sim.Millisecond, func(sim.Time) {
-				g.SendBatch([]*Packet{{Size: 1, Seq: 1}, {Size: 1, Seq: 2}})
+			calls := 0
+			g.SetSink(func(pkts []*Packet) {
+				calls++
+				for _, p := range pkts {
+					seqs = append(seqs, p.Seq)
+					at = append(at, loop.Now())
+				}
 			})
-			loop.Schedule(130*sim.Millisecond, func(sim.Time) { g.Send(&Packet{Size: 1, Seq: 3}) })
+			// Interleave singles and a train during the outage.
+			loop.Schedule(110*sim.Millisecond, func(sim.Time) { g.Send([]*Packet{{Size: 1, Seq: 0}}) })
+			loop.Schedule(120*sim.Millisecond, func(sim.Time) {
+				train := []*Packet{{Size: 1, Seq: 1}, {Size: 1, Seq: 2}}
+				if useBatch {
+					g.Send(train)
+					return
+				}
+				for _, p := range train {
+					g.Send([]*Packet{p})
+				}
+			})
+			loop.Schedule(130*sim.Millisecond, func(sim.Time) { g.Send([]*Packet{{Size: 1, Seq: 3}}) })
 			loop.RunUntil(400 * sim.Millisecond)
-			if len(seqs) != 4 {
-				t.Fatalf("released %d packets, want 4", len(seqs))
+			if len(seqs) != 4 || calls != 1 {
+				t.Fatalf("released %d packets in %d sink calls, want 4 in one train", len(seqs), calls)
 			}
 			for i, s := range seqs {
 				if s != int64(i) {
@@ -324,11 +331,11 @@ func TestTraceBoxCoDelShedsStandingQueue(t *testing.T) {
 		// One opportunity per 10ms = 1.2 Mbit/s for MTU packets.
 		opps := &fixedOpps{times: []sim.Time{10 * sim.Millisecond}}
 		tb := NewTraceBox(loop, opps, q)
-		tb.SetSink(func(*Packet) {})
+		tb.SetSink(each(func(*Packet) {}))
 		// 4x overload for 2 simulated seconds.
 		for i := 0; i < 800; i++ {
 			loop.Schedule(sim.Time(i)*2500*sim.Microsecond, func(sim.Time) {
-				tb.Send(&Packet{Size: MTU})
+				tb.Send([]*Packet{{Size: MTU}})
 			})
 		}
 		loop.Run()

@@ -27,7 +27,7 @@ func TestScenarioScriptGoldenTranscript(t *testing.T) {
 	q := NewDropTail(0, 0)
 	r := NewRateBox(loop, 1_000_000, q) // 12 ms per MTU packet
 	delivered := 0
-	r.SetSink(func(pkt *Packet) { delivered++ })
+	r.SetSink(each(func(pkt *Packet) { delivered++ }))
 
 	script := NewScenarioScript(loop)
 	script.Watch(q)
@@ -37,7 +37,7 @@ func TestScenarioScriptGoldenTranscript(t *testing.T) {
 
 	loop.Schedule(0, func(sim.Time) {
 		for i := 0; i < 30; i++ {
-			r.Send(&Packet{Size: MTU, Flow: uint64(i % 3)})
+			r.Send([]*Packet{{Size: MTU, Flow: uint64(i % 3)}})
 		}
 	})
 	loop.Run()
@@ -78,7 +78,7 @@ func TestScenarioScriptGateOutage(t *testing.T) {
 	loop := sim.NewLoop()
 	g := NewScriptedGateBox(loop, nil)
 	var deliveredAt []sim.Time
-	g.SetSink(func(*Packet) { deliveredAt = append(deliveredAt, loop.Now()) })
+	g.SetSink(each(func(*Packet) { deliveredAt = append(deliveredAt, loop.Now()) }))
 
 	script := NewScenarioScript(loop)
 	script.LinkDown(10*sim.Millisecond, g)
@@ -89,7 +89,7 @@ func TestScenarioScriptGateOutage(t *testing.T) {
 	send := func(at sim.Time, n int) {
 		loop.Schedule(at, func(sim.Time) {
 			for i := 0; i < n; i++ {
-				g.Send(&Packet{Size: 100})
+				g.Send([]*Packet{{Size: 100}})
 			}
 		})
 	}
@@ -133,14 +133,14 @@ func TestScenarioScriptHandover(t *testing.T) {
 	loop := sim.NewLoop()
 	tb := NewTraceBox(loop, stubOpps{period: 10 * sim.Millisecond}, nil)
 	var deliveredAt []sim.Time
-	tb.SetSink(func(*Packet) { deliveredAt = append(deliveredAt, loop.Now()) })
+	tb.SetSink(each(func(*Packet) { deliveredAt = append(deliveredAt, loop.Now()) }))
 
 	script := NewScenarioScript(loop)
 	script.Handover(25*sim.Millisecond, tb, stubOpps{period: 2 * sim.Millisecond}, "wifi")
 
 	loop.Schedule(0, func(sim.Time) {
 		for i := 0; i < 5; i++ {
-			tb.Send(&Packet{Size: MTU})
+			tb.Send([]*Packet{{Size: MTU}})
 		}
 	})
 	loop.Run()
@@ -176,7 +176,7 @@ func TestSwapQdiscHoldRespectsNewAdmission(t *testing.T) {
 
 	loop.Schedule(0, func(sim.Time) {
 		for i := 0; i < 10; i++ {
-			r.Send(&Packet{Size: MTU, Seq: int64(i)})
+			r.Send([]*Packet{{Size: MTU, Seq: int64(i)}})
 		}
 	})
 	loop.Schedule(sim.Millisecond, func(sim.Time) {

@@ -29,9 +29,10 @@ type TraceBox struct {
 	sink   Sink
 	stats  BoxStats
 	armed  bool
-	cur    *Packet   // packet committed to the transmitter (mid-delivery)
-	sentOf int       // bytes of cur already delivered
-	timer  sim.Timer // opportunity timer, rearmed across the trace
+	cur    *Packet    // packet committed to the transmitter (mid-delivery)
+	sentOf int        // bytes of cur already delivered
+	out    [1]*Packet // egress slot: each opportunity delivers a one-packet train
+	timer  sim.Timer  // opportunity timer, rearmed across the trace
 	carry  qdiscCarry
 }
 
@@ -104,20 +105,11 @@ func (t *TraceBox) admit(pkt *Packet) {
 	t.queue.Enqueue(pkt, t.loop.Now())
 }
 
-// Send implements Box.
-func (t *TraceBox) Send(pkt *Packet) {
-	if t.sink == nil {
-		panic("netem: TraceBox.Send before SetSink")
-	}
-	t.admit(pkt)
-	t.arm()
-}
-
-// SendBatch implements Box: the train is admitted in one pass (qdisc drops
+// Send implements Box: the train is admitted in one pass (qdisc drops
 // shorten it) and the opportunity timer is armed once. Delivery stays
 // per-opportunity, so a train longer than the current opportunity's capacity
-// is split across opportunities exactly as per-packet sends would be.
-func (t *TraceBox) SendBatch(pkts []*Packet) {
+// is split across opportunities exactly as one-packet trains would be.
+func (t *TraceBox) Send(pkts []*Packet) {
 	if t.sink == nil {
 		panic("netem: TraceBox.Send before SetSink")
 	}
@@ -161,21 +153,19 @@ func (t *TraceBox) fire(sim.Time) {
 		t.sentOf = 0
 		t.stats.Delivered++
 		t.stats.DeliveredBytes += uint64(pkt.Size)
-		t.sink(pkt)
+		t.out[0] = pkt
+		t.sink(t.out[:])
+		t.out[0] = nil
 	}
 	t.arm()
 }
 
-// SetSink implements Box.
+// SetSink implements Box. Delivery opportunities are distinct instants, so
+// egress is inherently per-packet: the sink sees one-packet trains.
 func (t *TraceBox) SetSink(sink Sink) { t.sink = sink }
 
-// SetBatchSink implements Box (unused: delivery opportunities are distinct
-// instants, so egress is inherently per-packet).
-func (t *TraceBox) SetBatchSink(BatchSink) {}
-
 // Stats implements Box: queue gauges and drop counts are read through from
-// the shared QueueStats, so the batch and single-packet paths can never
-// disagree.
+// the qdisc's QueueStats, the one place they are kept.
 func (t *TraceBox) Stats() BoxStats {
 	st := t.stats
 	qs := t.queue.QueueStats()

@@ -30,8 +30,8 @@ import (
 // artifact is unchanged, only the event count drops.
 //
 // Train objects never travel: the owning box hands the packet slice to its
-// sink (see BatchSink's retention rule) and immediately recycles the train
-// through its free list.
+// sink (see Sink's retention rule) and immediately recycles the train
+// through the shared pool.
 type train struct {
 	exit sim.Time
 	pkts []*Packet
@@ -46,20 +46,63 @@ type train struct {
 // uses.
 var trainSync = sync.Pool{New: func() any { return &train{pkts: make([]*Packet, 0, 32)} }}
 
-// trainPool is a box-level facade over the shared pool. (A box-local
-// cache was tried and rejected: trains parked in per-load boxes leave
-// the shared pool's circulation when the box dies, costing allocations
-// across loads without measurable speedup.)
-type trainPool struct{}
+// getTrain and putTrain recycle trains through the shared pool. (A
+// box-local cache was tried and rejected: trains parked in per-load boxes
+// leave the shared pool's circulation when the box dies, costing
+// allocations across loads without measurable speedup.)
+func getTrain() *train { return trainSync.Get().(*train) }
 
-func (trainPool) get() *train {
-	return trainSync.Get().(*train)
-}
-
-func (trainPool) put(t *train) {
+func putTrain(t *train) {
 	for i := range t.pkts {
 		t.pkts[i] = nil
 	}
 	t.pkts = t.pkts[:0]
 	trainSync.Put(t)
+}
+
+// trainOut assembles the train a box sends on from the train it received.
+// The output aliases the input until the box first diverges from it (drops,
+// holds or clones a packet); only then are the packets passed so far copied
+// into the recycled scratch slice. A train the box leaves unchanged — every
+// one-packet train that passes — goes out without a copy. split is false
+// between trains.
+type trainOut struct {
+	buf   []*Packet
+	split bool
+}
+
+// diverge ends the alias: in[:i] passed unchanged, and from here on every
+// outgoing packet is added explicitly.
+func (o *trainOut) diverge(in []*Packet, i int) {
+	if !o.split {
+		o.split = true
+		o.buf = append(o.buf[:0], in[:i]...)
+	}
+}
+
+// add appends an outgoing packet; while the alias holds it already covers
+// the packet.
+func (o *trainOut) add(pkt *Packet) {
+	if o.split {
+		o.buf = append(o.buf, pkt)
+	}
+}
+
+// send hands the outgoing train for input in, unless empty, to sink.
+func (o *trainOut) send(in []*Packet, sink Sink) {
+	if !o.split {
+		if len(in) > 0 {
+			sink(in)
+		}
+		return
+	}
+	o.split = false
+	out := o.buf
+	if len(out) > 0 {
+		sink(out)
+	}
+	for i := range out {
+		out[i] = nil
+	}
+	o.buf = out[:0]
 }

@@ -13,19 +13,13 @@ type delivery struct {
 	seq  int64
 }
 
-// recordSinks installs both a per-packet and a batch sink on the box,
-// recording every delivery in arrival order (the batch sink decomposes
-// trains, which is exactly the equivalence under test).
+// recordSinks installs a sink on the box recording every delivery in
+// arrival order (it decomposes trains, which is exactly the equivalence
+// under test).
 func recordSinks(loop *sim.Loop, b Box, got *[]delivery) {
-	record := func(p *Packet) {
+	b.SetSink(each(func(p *Packet) {
 		*got = append(*got, delivery{at: loop.Now(), flow: p.Flow, seq: p.Seq})
-	}
-	b.SetSink(record)
-	b.SetBatchSink(func(pkts []*Packet) {
-		for _, p := range pkts {
-			record(p)
-		}
-	})
+	}))
 }
 
 func equalDeliveries(a, b []delivery) bool {
@@ -40,10 +34,11 @@ func equalDeliveries(a, b []delivery) bool {
 	return true
 }
 
-// runScenario drives the same traffic through a fresh box twice — once via
-// per-packet Send, once via SendBatch — and returns both delivery logs.
-// The two must be identical: trains are an event-count optimization, never
-// a behavioral one.
+// runScenario drives the same traffic through a fresh box twice — once
+// with every packet sent as its own one-packet train at the same instant,
+// once with the trains whole — and returns both delivery logs. The
+// one-packet run is the reference, and the two must be identical: trains
+// are an event-count optimization, never a behavioral one.
 func runScenario(t *testing.T, mk func(loop *sim.Loop) Box, traffic func(inject func(batch bool, pkts ...*Packet)) func(loop *sim.Loop)) (perPacket, batched []delivery) {
 	t.Helper()
 	run := func(batch bool) []delivery {
@@ -53,11 +48,11 @@ func runScenario(t *testing.T, mk func(loop *sim.Loop) Box, traffic func(inject 
 		recordSinks(loop, box, &got)
 		inject := func(asBatch bool, pkts ...*Packet) {
 			if asBatch && batch {
-				box.SendBatch(pkts)
+				box.Send(pkts)
 				return
 			}
 			for _, p := range pkts {
-				box.Send(p)
+				box.Send([]*Packet{p})
 			}
 		}
 		traffic(inject)(loop)
@@ -77,7 +72,7 @@ func TestTrainDelayBoxBurstOneEvent(t *testing.T) {
 	recordSinks(loop, d, &got)
 	loop.Schedule(0, func(sim.Time) {
 		for i := 0; i < 8; i++ {
-			d.Send(&Packet{Size: MTU, Flow: 1, Seq: int64(i)})
+			d.Send([]*Packet{{Size: MTU, Flow: 1, Seq: int64(i)}})
 		}
 	})
 	loop.Run()
@@ -104,19 +99,14 @@ func TestTrainGuardSplitsOnInterleavedEvent(t *testing.T) {
 	loop := sim.NewLoop()
 	d := NewDelayBox(loop, 10*sim.Millisecond)
 	var order []string
-	d.SetSink(func(p *Packet) { order = append(order, p.String()) })
-	d.SetBatchSink(func(pkts []*Packet) {
-		for _, p := range pkts {
-			order = append(order, p.String())
-		}
-	})
+	d.SetSink(each(func(p *Packet) { order = append(order, p.String()) }))
 	loop.Schedule(0, func(sim.Time) {
-		d.Send(&Packet{Size: 1, Flow: 1, Seq: 1})
+		d.Send([]*Packet{{Size: 1, Flow: 1, Seq: 1}})
 		// An unrelated event lands at the exact exit instant of the train:
 		// it must fire between the two packets' deliveries, as the
 		// per-packet schedule would have it.
 		loop.Schedule(10*sim.Millisecond, func(sim.Time) { order = append(order, "interloper") })
-		d.Send(&Packet{Size: 1, Flow: 1, Seq: 2})
+		d.Send([]*Packet{{Size: 1, Flow: 1, Seq: 2}})
 	})
 	loop.Run()
 	want := []string{"pkt{flow=1 seq=1 size=1}", "interloper", "pkt{flow=1 seq=2 size=1}"}
@@ -235,7 +225,7 @@ func TestTrainDropsMidTrainAtDropTail(t *testing.T) {
 }
 
 // TestTrainRateBoxPrecomputedExits: a train through a RateBox serializes
-// packet-by-packet with precomputed exits — identical to per-packet sends,
+// packet-by-packet with precomputed exits — identical to one-packet trains,
 // at exactly size*8/rate spacing.
 func TestTrainRateBoxPrecomputedExits(t *testing.T) {
 	const bps = 12_000_000 // MTU serializes in 1 ms
@@ -275,8 +265,8 @@ func TestTrainRateBoxPrecomputedExits(t *testing.T) {
 }
 
 // TestTrainLossBoxShortensTrain: drops inside a train shorten it without
-// reordering, and the RNG consumes draws in train order (batched and
-// per-packet runs see identical loss patterns).
+// reordering, and the RNG consumes draws in train order (whole-train and
+// one-packet-train runs see identical loss patterns).
 func TestTrainLossBoxShortensTrain(t *testing.T) {
 	mkPkts := func() []*Packet {
 		pkts := make([]*Packet, 32)
@@ -347,8 +337,8 @@ func TestTrainGateBoxDrainAsTrain(t *testing.T) {
 	recordSinks(loop, g, &got)
 	// Off period spans [10ms, 20ms): these arrive while off and are held.
 	loop.Schedule(12*sim.Millisecond, func(sim.Time) {
-		g.Send(&Packet{Size: MTU, Flow: 1, Seq: 1})
-		g.Send(&Packet{Size: MTU, Flow: 2, Seq: 2})
+		g.Send([]*Packet{{Size: MTU, Flow: 1, Seq: 1}})
+		g.Send([]*Packet{{Size: MTU, Flow: 2, Seq: 2}})
 	})
 	loop.RunUntil(25 * sim.Millisecond)
 	if len(got) != 2 {
@@ -359,4 +349,95 @@ func TestTrainGateBoxDrainAsTrain(t *testing.T) {
 			t.Fatalf("delivery %d = %+v, want seq %d at 20ms", i, g, i+1)
 		}
 	}
+}
+
+// FuzzTrainSplit checks the train contract under fuzzer-chosen traffic and
+// impairments: a burst sent as one train through loss → reorder →
+// duplicate → corrupt → TraceBox/droptail must produce the same delivery
+// log as the same packets sent one by one as one-packet trains at the same
+// instant. Each input byte pair is one packet (size, flow). Both runs must
+// also keep every per-box ledger and return every pooled packet.
+//
+// The burst enters at t=0, trace opportunities fall on whole milliseconds
+// and reorder holds end on a half millisecond, so no two of the
+// pipeline's events ever tie on the clock: ties are where a train's
+// single admission pass and per-packet admissions may legitimately
+// schedule in a different order.
+func FuzzTrainSplit(f *testing.F) {
+	f.Add([]byte{120, 0, 120, 1, 3, 2, 255, 1, 40, 3, 120, 0}, uint64(1), uint8(40), uint8(60), uint8(50), uint8(30), uint8(0), uint8(1), uint8(4))
+	f.Add([]byte{1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 8, 0}, uint64(7), uint8(0), uint8(255), uint8(255), uint8(0), uint8(128), uint8(2), uint8(2))
+	f.Add([]byte{200, 5, 200, 6, 200, 7}, uint64(3), uint8(255), uint8(0), uint8(0), uint8(255), uint8(0), uint8(1), uint8(0))
+	f.Fuzz(func(t *testing.T, spec []byte, seed uint64, lossP, reorderP, dupP, corruptP, corr, gap, queueCap uint8) {
+		const maxPkts = 256
+		if len(spec) > 2*maxPkts {
+			spec = spec[:2*maxPkts]
+		}
+		prob := func(x uint8) float64 { return float64(x) / 255 }
+		run := func(split bool) []delivery {
+			loop := sim.NewLoop()
+			pool := &PacketPool{}
+			loss := NewLossBox(prob(lossP), sim.NewRand(seed))
+			reorder := NewReorderBox(loop, prob(reorderP), prob(corr), int(gap%4)+1,
+				3*sim.Millisecond+sim.Millisecond/2, sim.NewRand(seed+1))
+			dup := NewDuplicateBox(prob(dupP), prob(corr), sim.NewRand(seed+2))
+			corrupt := NewCorruptBox(prob(corruptP), prob(corr), sim.NewRand(seed+3))
+			link := NewTraceBox(loop, &fixedOpps{times: []sim.Time{sim.Millisecond}}, NewDropTail(int(queueCap), 0))
+			pipe := NewPipeline(loss, reorder, dup, corrupt, link)
+			var got []delivery
+			pipe.SetSink(each(func(p *Packet) {
+				got = append(got, delivery{at: loop.Now(), flow: p.Flow, seq: p.Seq})
+				pool.Put(p)
+			}))
+			var pkts []*Packet
+			for i := 0; i+1 < len(spec); i += 2 {
+				p := pool.Get()
+				p.Size = 1 + int(spec[i])*12 // up to two MTUs
+				p.Flow = uint64(spec[i+1] % 8)
+				p.Seq = int64(i / 2)
+				pkts = append(pkts, p)
+			}
+			loop.Schedule(0, func(sim.Time) {
+				if !split {
+					pipe.Send(pkts)
+					return
+				}
+				for _, p := range pkts {
+					pipe.Send([]*Packet{p})
+				}
+			})
+			loop.Run()
+
+			n := uint64(len(pkts))
+			ls, rs, ds, cs, ks := loss.Stats(), reorder.Stats(), dup.Stats(), corrupt.Stats(), link.Stats()
+			if ls.Arrived != n || ls.Arrived != ls.Delivered+ls.Dropped {
+				t.Fatalf("split=%v loss ledger: offered %d, stats %+v", split, n, ls)
+			}
+			if rs.Arrived != rs.Delivered || rs.Dropped != 0 || rs.QueueLen != 0 {
+				t.Fatalf("split=%v reorder must pass everything and drain: %+v", split, rs)
+			}
+			if ds.Delivered != ds.Arrived+dup.Duplicated() {
+				t.Fatalf("split=%v duplicate ledger: %+v, duplicated %d", split, ds, dup.Duplicated())
+			}
+			if cs.Arrived != cs.Delivered || cs.Dropped != 0 {
+				t.Fatalf("split=%v corrupt must pass everything: %+v", split, cs)
+			}
+			if ks.Arrived != ks.Delivered+ks.Dropped || ks.QueueLen != 0 {
+				t.Fatalf("split=%v trace link ledger: %+v", split, ks)
+			}
+			if ls.Delivered != rs.Arrived || rs.Delivered != ds.Arrived || ds.Delivered != cs.Arrived || cs.Delivered != ks.Arrived {
+				t.Fatalf("split=%v pipeline plumbing: loss %+v reorder %+v dup %+v corrupt %+v link %+v", split, ls, rs, ds, cs, ks)
+			}
+			if uint64(len(got)) != ks.Delivered {
+				t.Fatalf("split=%v sink saw %d, link delivered %d", split, len(got), ks.Delivered)
+			}
+			if out := pool.Outstanding(); out != 0 {
+				t.Fatalf("split=%v pool leak: %d packets outstanding", split, out)
+			}
+			return got
+		}
+		reference, train := run(true), run(false)
+		if !equalDeliveries(reference, train) {
+			t.Fatalf("train deliveries diverge from one-packet trains:\none-packet: %v\ntrain:      %v", reference, train)
+		}
+	})
 }

@@ -503,6 +503,7 @@ type LinkEnd struct {
 	ns   *Namespace
 	pipe *netem.Pipeline // shaping applied to traffic leaving this end
 	peer *LinkEnd
+	in   [1]*netem.Packet // ingress slot: each datagram enters as a one-packet train
 }
 
 // Namespace returns the namespace this end is attached to.
@@ -524,7 +525,23 @@ func (le *LinkEnd) transmit(dg *Datagram) {
 	pkt.CE = dg.CE
 	pkt.Corrupt = dg.Corrupt
 	pkt.Payload = dg
-	le.pipe.Send(pkt)
+	le.in[0] = pkt
+	le.pipe.Send(le.in[:])
+	le.in[0] = nil
+}
+
+// unwrap takes the datagram out of a packet that crossed a link, carrying
+// the marks the link set on the wrapper, and recycles the wrapper.
+func (n *Network) unwrap(p *netem.Packet) *Datagram {
+	dg := p.Payload.(*Datagram)
+	if p.CE {
+		dg.CE = true // the link's AQM marked this packet
+	}
+	if p.Corrupt {
+		dg.Corrupt = true // a CorruptBox damaged this packet
+	}
+	n.pools.pkts.Put(p)
+	return dg
 }
 
 // Connect creates a veth pair between two namespaces. Traffic from a to b
@@ -554,53 +571,29 @@ func Connect(a, b *Namespace, ab, ba *netem.Pipeline) (*LinkEnd, *LinkEnd) {
 	// (e.g. an application writing from within its data handler must not
 	// observe the next inbound packet before its own handler returns), at
 	// zero virtual-time cost; same-timestamp events preserve FIFO order.
-	// Delivery callbacks are symmetric per direction. Train deliveries
-	// cross into the receiving namespace through one event carrying a
-	// pooled datagram batch; a single-packet train uses the per-packet
-	// path (no container churn). Either way the firing order is identical
+	// Delivery callbacks are symmetric per direction. A train of several
+	// packets crosses into the receiving namespace through one event
+	// carrying a pooled datagram batch; a one-packet train is scheduled
+	// bare (no container churn). Either way the firing order is identical
 	// to per-packet delivery, because a train's packets are adjacent in
 	// event order by construction.
 	loop := a.net.loop
 	net := a.net
-	sinks := func(dst *Namespace) (netem.Sink, netem.BatchSink) {
-		sink := func(p *netem.Packet) {
-			dg := p.Payload.(*Datagram)
-			if p.CE {
-				dg.CE = true // the link's AQM marked this packet
-			}
-			if p.Corrupt {
-				dg.Corrupt = true // a CorruptBox damaged this packet
-			}
-			net.pools.pkts.Put(p)
-			loop.ScheduleArg(0, dst.recvArg, dg)
-		}
-		batchSink := func(pkts []*netem.Packet) {
+	sink := func(dst *Namespace) netem.Sink {
+		return func(pkts []*netem.Packet) {
 			if len(pkts) == 1 {
-				sink(pkts[0])
+				loop.ScheduleArg(0, dst.recvArg, net.unwrap(pkts[0]))
 				return
 			}
 			batch := net.getBatch()
 			for _, p := range pkts {
-				dg := p.Payload.(*Datagram)
-				if p.CE {
-					dg.CE = true
-				}
-				if p.Corrupt {
-					dg.Corrupt = true
-				}
-				batch.dgs = append(batch.dgs, dg)
-				net.pools.pkts.Put(p)
+				batch.dgs = append(batch.dgs, net.unwrap(p))
 			}
 			loop.ScheduleArg(0, dst.recvBatchArg, batch)
 		}
-		return sink, batchSink
 	}
-	abSink, abBatch := sinks(b)
-	ab.SetSink(abSink)
-	ab.SetBatchSink(abBatch)
-	baSink, baBatch := sinks(a)
-	ba.SetSink(baSink)
-	ba.SetBatchSink(baBatch)
+	ab.SetSink(sink(b))
+	ba.SetSink(sink(a))
 	a.links = append(a.links, ea)
 	b.links = append(b.links, eb)
 	return ea, eb

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,7 +45,8 @@ var ErrEmpty = errors.New("trace: no delivery opportunities")
 
 // New builds a trace from raw millisecond timestamps. The slice is copied
 // and sorted. The period is the last timestamp rounded up to the next
-// millisecond (minimum 1 ms), matching Mahimahi's looping rule.
+// millisecond (minimum 1 ms), matching Mahimahi's looping rule. Timestamps
+// too large for the virtual clock are rejected rather than wrapped.
 func New(name string, ms []int64) (*Trace, error) {
 	if len(ms) == 0 {
 		return nil, ErrEmpty
@@ -53,6 +55,9 @@ func New(name string, ms []int64) (*Trace, error) {
 	for i, m := range ms {
 		if m < 0 {
 			return nil, fmt.Errorf("trace: negative timestamp %d at line %d", m, i+1)
+		}
+		if m > math.MaxInt64/int64(sim.Millisecond) {
+			return nil, fmt.Errorf("trace: timestamp %d ms at line %d overflows the virtual clock", m, i+1)
 		}
 		opps[i] = sim.Time(m) * sim.Millisecond
 	}

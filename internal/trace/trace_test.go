@@ -44,6 +44,73 @@ func TestParseErrors(t *testing.T) {
 	if _, err := New("t", []int64{-1}); err == nil {
 		t.Fatal("negative timestamp accepted")
 	}
+	// 9223372036854775 ms wraps sim.Time negative; it must be an error,
+	// not a trace with a negative opportunity.
+	if _, err := Parse("t", strings.NewReader("1\n9223372036854775\n")); err == nil {
+		t.Fatal("timestamp overflowing the virtual clock accepted")
+	}
+	maxMS := int64(math.MaxInt64 / int64(sim.Millisecond))
+	if _, err := New("t", []int64{maxMS}); err != nil {
+		t.Fatalf("largest representable timestamp rejected: %v", err)
+	}
+	if _, err := New("t", []int64{maxMS + 1}); err == nil {
+		t.Fatal("first unrepresentable timestamp accepted")
+	}
+}
+
+// FuzzParse: Parse never panics, and every trace it accepts is well formed
+// (sorted, non-negative opportunities, period at least 1 ms and no earlier
+// than the last opportunity) and survives Format→Parse unchanged.
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		"0\n5\n5\n12\n",
+		"# header\n\n3\n  7  \n# tail\n",
+		"9\n1\n5\n",
+		"0\n",
+		"+4\n",
+		"-1\n",
+		"abc\n",
+		"",
+		"1\n9223372036854775\n",
+		"9223372036854\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		tr, err := Parse("fuzz", strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		opps := tr.opportunities
+		for i, opp := range opps {
+			if opp < 0 {
+				t.Fatalf("negative opportunity %v at %d", opp, i)
+			}
+			if i > 0 && opp < opps[i-1] {
+				t.Fatalf("opportunities unsorted at %d: %v < %v", i, opp, opps[i-1])
+			}
+		}
+		if tr.Period() < sim.Millisecond || tr.Period() < opps[len(opps)-1] {
+			t.Fatalf("period %v with last opportunity %v", tr.Period(), opps[len(opps)-1])
+		}
+		var buf bytes.Buffer
+		if err := tr.Format(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Parse("fuzz", &buf)
+		if err != nil {
+			t.Fatalf("formatted trace does not parse: %v", err)
+		}
+		if back.Period() != tr.Period() || len(back.opportunities) != len(opps) {
+			t.Fatalf("round trip: %d opps period %v, want %d period %v",
+				len(back.opportunities), back.Period(), len(opps), tr.Period())
+		}
+		for i := range opps {
+			if back.opportunities[i] != opps[i] {
+				t.Fatalf("round trip opportunity %d: %v, want %v", i, back.opportunities[i], opps[i])
+			}
+		}
+	})
 }
 
 func TestNewSortsInput(t *testing.T) {
@@ -273,10 +340,10 @@ func TestTraceDrivesTraceBox(t *testing.T) {
 	tb := netem.NewTraceBox(loop, tr.Cursor(), nil)
 	var last sim.Time
 	n := 0
-	tb.SetSink(func(*netem.Packet) { last = loop.Now(); n++ })
+	tb.SetSink(func(pkts []*netem.Packet) { last = loop.Now(); n += len(pkts) })
 	loop.Schedule(0, func(sim.Time) {
 		for i := 0; i < 10; i++ {
-			tb.Send(&netem.Packet{Size: netem.MTU})
+			tb.Send([]*netem.Packet{{Size: netem.MTU}})
 		}
 	})
 	loop.Run()
