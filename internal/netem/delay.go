@@ -68,7 +68,7 @@ func (d *DelayBox) schedule(pkt *Packet) {
 		d.open.pkts = append(d.open.pkts, pkt)
 		return
 	}
-	t := getTrain()
+	t := getTrain(pkt)
 	t.exit = exit
 	t.pkts = append(t.pkts, pkt)
 	d.open = t

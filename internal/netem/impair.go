@@ -134,7 +134,7 @@ func (r *ReorderBox) displace(pkt *Packet) bool {
 		r.open.pkts = append(r.open.pkts, pkt)
 		return true
 	}
-	t := getTrain()
+	t := getTrain(pkt)
 	t.exit = exit
 	t.pkts = append(t.pkts, pkt)
 	r.open = t

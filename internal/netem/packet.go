@@ -75,6 +75,8 @@ type Packet struct {
 // probabilistic loss) are recycled via Packet.Recycle.
 type PacketPool struct {
 	free []*Packet
+	// trains recycles the boxes' packet-train containers (see getTrain).
+	trains []*train
 	// ReleasePayload, when set, receives the payload of every dropped
 	// packet recycled through Packet.Recycle, so the layer that wrapped the
 	// payload can free it too (nsim recycles the datagram and forwards to

@@ -1,10 +1,6 @@
 package netem
 
-import (
-	"sync"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // train is a pending packet-train delivery: a contiguous run of packets
 // leaving a box at one virtual instant through a single event, instead of
@@ -31,33 +27,41 @@ import (
 //
 // Train objects never travel: the owning box hands the packet slice to its
 // sink (see Sink's retention rule) and immediately recycles the train
-// through the shared pool.
+// through the pool of the packet that opened it.
 type train struct {
 	exit sim.Time
 	pkts []*Packet
+	pool *PacketPool // where the train returns; nil for hand-built packets
 }
 
-// trainSync recycles train objects process-wide. Boxes are rebuilt per
-// page load (as Mahimahi rebuilds shells per invocation), so a box-local
-// free list would re-pay its warmup every load; sync.Pool hands a train to
-// exactly one goroutine at a time, which keeps reuse race-free under the
-// parallel experiment engine while letting the pool warm once per worker.
-// Pool identity never influences results — trains carry no state between
+// getTrain returns an empty train from the packet's origin pool. Packets
+// of one loop share a pool (nsim.PoolSet), which outlives the boxes — they
+// are rebuilt per page load, as Mahimahi rebuilds shells per invocation —
+// so trains warm once per pool, not once per box, and a warmed pool hands
+// out trains without allocating however often the garbage collector runs.
+// Pool identity never influences results: trains carry no state between
 // uses.
-var trainSync = sync.Pool{New: func() any { return &train{pkts: make([]*Packet, 0, 32)} }}
-
-// getTrain and putTrain recycle trains through the shared pool. (A
-// box-local cache was tried and rejected: trains parked in per-load boxes
-// leave the shared pool's circulation when the box dies, costing
-// allocations across loads without measurable speedup.)
-func getTrain() *train { return trainSync.Get().(*train) }
+func getTrain(p *Packet) *train {
+	pp := p.pool
+	if pp != nil {
+		if n := len(pp.trains); n > 0 {
+			t := pp.trains[n-1]
+			pp.trains[n-1] = nil
+			pp.trains = pp.trains[:n-1]
+			return t
+		}
+	}
+	return &train{pkts: make([]*Packet, 0, 32), pool: pp}
+}
 
 func putTrain(t *train) {
 	for i := range t.pkts {
 		t.pkts[i] = nil
 	}
 	t.pkts = t.pkts[:0]
-	trainSync.Put(t)
+	if t.pool != nil {
+		t.pool.trains = append(t.pool.trains, t)
+	}
 }
 
 // trainOut assembles the train a box sends on from the train it received.

@@ -236,7 +236,10 @@ type Namespace struct {
 	// datagram. This models the iptables REDIRECT rule RecordShell uses to
 	// steer all HTTP(S) traffic into its man-in-the-middle proxy.
 	intercept func(dg *Datagram) bool
-	nextPort  uint16
+	// demux, when set, is the transport's established-connection lookup,
+	// consulted before routing and the socket tables (see SetDemux).
+	demux    func(dg *Datagram) bool
+	nextPort uint16
 	stats     NamespaceStats
 	// recvArg and deliverArg are the namespace's receive/deliverLocal
 	// methods pre-bound as ArgHandlers, so the per-packet event-loop hops
@@ -444,6 +447,30 @@ func (ns *Namespace) Send(dg *Datagram) error {
 	return nil
 }
 
+// SetDemux installs the transport's established-connection lookup (one
+// transport per namespace; tcpsim.Stack installs it). Every datagram
+// arriving at or sent within the namespace is offered to fn first; fn
+// returns true when the datagram belongs to one of its live connections
+// and it has consumed the payload, and false, touching nothing, otherwise.
+// As in a kernel, where the established-socket hash is searched before
+// listeners, a connection's own traffic thus reaches it by the
+// transport's index without a lookup in this namespace's address or
+// socket tables; everything else (SYNs, other protocols, forwarded
+// traffic) takes the ordinary path. fn must only claim datagrams whose
+// destination is a connection endpoint it owns.
+func (ns *Namespace) SetDemux(fn func(dg *Datagram) bool) { ns.demux = fn }
+
+// claim offers a datagram to the transport's established-connection
+// lookup, recycling it when the transport took it.
+func (ns *Namespace) claim(dg *Datagram) bool {
+	if ns.demux == nil || !ns.demux(dg) {
+		return false
+	}
+	ns.stats.DeliveredLocal++
+	ns.net.freeDatagram(dg)
+	return true
+}
+
 // SetIntercept installs (or clears, with nil) the transparent interception
 // hook for traffic transiting this namespace.
 func (ns *Namespace) SetIntercept(fn func(dg *Datagram) bool) { ns.intercept = fn }
@@ -452,8 +479,11 @@ func (ns *Namespace) SetIntercept(fn func(dg *Datagram) bool) { ns.intercept = f
 // datagram: delivery and drops recycle pooled datagrams, forwarding passes
 // ownership to the next link.
 func (ns *Namespace) receive(dg *Datagram) {
+	if ns.claim(dg) {
+		return
+	}
 	if ns.locals[dg.Dst.Addr] {
-		ns.deliverLocal(dg)
+		ns.deliverSocket(dg)
 		return
 	}
 	if ns.intercept != nil && ns.intercept(dg) {
@@ -479,7 +509,17 @@ func (ns *Namespace) receive(dg *Datagram) {
 	via.transmit(dg)
 }
 
+// deliverLocal delivers a datagram sent to one of the namespace's own
+// addresses.
 func (ns *Namespace) deliverLocal(dg *Datagram) {
+	if !ns.claim(dg) {
+		ns.deliverSocket(dg)
+	}
+}
+
+// deliverSocket hands a locally addressed datagram to the socket bound to
+// its destination, or to the port's wildcard socket.
+func (ns *Namespace) deliverSocket(dg *Datagram) {
 	if h, ok := ns.sockets[dg.Dst]; ok {
 		ns.stats.DeliveredLocal++
 		h(dg)

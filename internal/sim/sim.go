@@ -4,29 +4,33 @@
 // Mahimahi's shells run in real time on a Linux host; this reproduction runs
 // the same queueing algorithms on a virtual clock so that experiments are
 // deterministic, isolated from host load, and orders of magnitude faster
-// than real time. Every packet release, TCP timer, and browser event is an
-// Event scheduled on a Loop.
+// than real time. Every packet release, TCP timer, and browser event is a
+// callback scheduled on a Loop.
 //
-// Determinism guarantees: events fire in (time, priority, sequence) order,
-// where sequence is the order of scheduling. Two runs of the same workload
-// with the same seeds produce identical traces.
+// Determinism guarantees: events fire in (time, sequence) order, where
+// sequence is the order of scheduling (a Timer rearm takes a fresh
+// sequence number, exactly like a cancel plus a new schedule). Two runs of
+// the same workload with the same seeds produce identical traces.
 //
 // The loop is allocation-free in steady state: events live in a slab of
 // value-typed slots recycled through a free list, so scheduling costs no
 // heap allocation and firing order never depends on memory layout.
 //
-// Future events are ordered by a calendar queue of same-deadline runs under
-// a small binary heap keyed by each run's earliest event. It exploits the
-// workload's heavily clustered deadlines (fixed box delays,
-// millisecond-quantized trace opportunities): consecutive schedules onto
-// one deadline — a burst filling a packet train, per-ACK timer rearms onto
-// one RTO — append to a cached run in O(1) with no heap work, so heap
-// operations are paid per run rather than per event.
+// Future events sit in a hierarchical timing wheel (Varghese & Lauck,
+// SOSP '87) at nanosecond resolution: eleven levels of 64 FIFO slots, each
+// level's slots 64 times wider than the one below, with one occupancy
+// bitmap word per level. Inserting, and rearming a Timer, is O(1) whatever
+// the number of pending events; an event moves down one or more levels as
+// the clock approaches it and fires from a level-0 slot, which holds a
+// single timestamp. The bitmaps let a sparse loop skip idle virtual time in
+// a few word operations. Events due at the current instant bypass the
+// wheel through a FIFO now-queue.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -66,66 +70,42 @@ type Handler func(now Time)
 // delivery.
 type ArgHandler func(now Time, arg any)
 
+// Timing-wheel geometry: wheelLevels levels of wheelSlots slots cover the
+// whole non-negative Time range (6 × 11 = 66 ≥ 63 bits).
+const (
+	wheelBits   = 6
+	wheelSlots  = 1 << wheelBits
+	wheelMask   = wheelSlots - 1
+	wheelLevels = 11
+)
+
 // eventSlot is the in-slab representation of a scheduled event. Slots are
 // value-typed, recycled through the loop's free list, and addressed by
 // index, so scheduling allocates nothing once the slab has grown to the
 // workload's high-water mark. gen increments on every recycle, which lets
-// outstanding Event/Timer handles detect that their slot has moved on.
+// an outstanding Timer detect that its slot has moved on.
 type eventSlot struct {
-	at       Time
-	seq      uint64
-	fn       Handler
-	afn      ArgHandler
-	arg      any
-	priority int32
-	gen      uint32
-	// bucket is the index of the same-deadline run holding the slot; -1
-	// when the slot is in the now-queue or free.
-	bucket int32
-	// next and prev link the slot into its bucket's (priority, seq)-ordered
-	// list.
-	next, prev int32
-	canceled   bool
-}
-
-// Event is a cancelable handle to a scheduled callback, returned by the
-// scheduling methods (e.g. so a test can cancel a pending event). It is a
-// value: copy it freely. The zero Event is inert.
-type Event struct {
-	loop     *Loop
-	slot     int32
-	gen      uint32
-	at       Time
+	at  Time
+	seq uint64
+	fn  Handler
+	afn ArgHandler
+	arg any
+	gen uint32
+	// list is the wheel slot (level*wheelSlots + slot) holding the event;
+	// -1 when the event is in the now-queue or the slot is free.
+	list int16
+	// canceled marks a stopped Timer firing left in the now-queue, which
+	// cannot unlink in place; wheel-resident events are unlinked instead.
 	canceled bool
+	// next and prev link the slot into its wheel slot's FIFO list.
+	next, prev int32
 }
 
-// At reports the virtual time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
-// Canceled reports whether Cancel has been called on this handle.
-func (e *Event) Canceled() bool { return e.canceled }
-
-// Cancel prevents the event from firing. Canceling an already-fired or
-// already-canceled event is a no-op.
-func (e *Event) Cancel() {
-	if e.canceled {
-		return
-	}
-	e.canceled = true
-	if e.loop == nil {
-		return
-	}
-	s := &e.loop.slots[e.slot]
-	if s.gen == e.gen {
-		s.canceled = true
-	}
-}
-
-// Timer is a rearmable event bound to one handler. Unlike Schedule, whose
-// per-call handler is typically a freshly allocated closure, a Timer
-// captures its handler once at creation and then rearms allocation-free —
-// the pattern TCP retransmission timers need, where the timer is reset on
-// every ACK. The zero Timer is not usable; create one with Loop.NewTimer.
+// Timer is a rearmable event bound to one handler, and the loop's only
+// cancelable handle. It captures its handler once at creation and then
+// rearms allocation-free — the pattern TCP retransmission timers need,
+// where the timer is reset on every ACK. The zero Timer is not usable;
+// create one with Loop.NewTimer.
 type Timer struct {
 	loop  *Loop
 	fn    Handler
@@ -142,74 +122,58 @@ func (l *Loop) NewTimer(fn Handler) Timer {
 	return Timer{loop: l, fn: fn, slot: -1}
 }
 
+// pending returns the timer's slot when it holds a live, uncanceled
+// firing.
+func (t *Timer) pending() *eventSlot {
+	if !t.armed {
+		return nil
+	}
+	s := &t.loop.slots[t.slot]
+	if s.gen != t.gen || s.canceled {
+		return nil
+	}
+	return s
+}
+
 // Reset (re)arms the timer to fire after delay, canceling any pending
-// firing. A negative delay is clamped to zero. Reset performs no heap
-// allocation: a still-pending firing is rescheduled in place — the slot
-// leaves its old run and re-enters the scheduler with the new time and a
-// fresh sequence number, so ordering matches a cancel-plus-reschedule
-// exactly — and otherwise the timer draws a recycled slot with its bound
-// handler.
+// firing. A negative delay is clamped to zero. Reset is O(1) and performs
+// no heap allocation: a firing pending in the wheel is unlinked and
+// re-entered with the new time and a fresh sequence number, so ordering
+// matches a cancel-plus-reschedule exactly; otherwise the timer draws a
+// recycled slot with its bound handler.
 func (t *Timer) Reset(delay Time) {
 	if delay < 0 {
 		delay = 0
 	}
 	l := t.loop
-	if t.armed {
-		s := &l.slots[t.slot]
-		if s.gen == t.gen && !s.canceled && s.bucket >= 0 {
-			l.counters.Scheduled++ // a rearm is a cancel-plus-reschedule
-			// Unlink from the old timestamp's bucket and re-enter the
-			// scheduler exactly as a fresh schedule would.
-			l.wheelUnlink(t.slot)
-			s.at = l.now + delay
-			s.seq = l.nextSeq
-			l.nextSeq++
-			if s.at == l.now && s.priority == 0 {
-				l.nowq = append(l.nowq, t.slot)
-				l.counters.NowFast++
-			} else {
-				l.wheelInsert(t.slot)
-			}
-			return
-		}
+	if s := t.pending(); s != nil && s.list >= 0 {
+		l.counters.Scheduled++ // a rearm is a cancel-plus-reschedule
+		l.wheelUnlink(t.slot)
+		s.at = l.now + delay
+		s.seq = l.nextSeq
+		l.nextSeq++
+		l.enqueue(t.slot)
+		return
 	}
 	t.Stop()
-	t.slot, t.gen = l.scheduleSlot(l.now+delay, 0, t.fn, nil, nil)
+	t.slot, t.gen = l.scheduleSlot(l.now+delay, t.fn, nil, nil)
 	t.armed = true
 }
 
 // Stop cancels the pending firing, if any. Stopping an unarmed or
 // already-fired timer is a no-op.
 func (t *Timer) Stop() {
-	if !t.armed {
+	s := t.pending()
+	t.armed = false
+	if s == nil {
 		return
 	}
-	t.armed = false
-	s := &t.loop.slots[t.slot]
-	if s.gen == t.gen {
-		s.canceled = true
+	if s.list >= 0 {
+		t.loop.wheelUnlink(t.slot)
+		t.loop.freeSlot(t.slot)
+		return
 	}
-}
-
-// bucket is one same-timestamp FIFO run of the scheduler. Its slot
-// list is ordered by (priority, seq); with the default priority that is
-// plain FIFO append order. Buckets live in a slab recycled through a free
-// list and are indexed into a small binary heap ordered by
-// (time, head priority, head seq) — i.e. by each run's earliest event —
-// so a whole burst costs one heap node instead of one per event.
-type bucket struct {
-	at         Time
-	headSeq    uint64 // head slot's seq, inlined so heap compares stay in the bucket slab
-	head, tail int32  // slot-list endpoints; head == -1 only transiently
-	heapIdx    int32  // position in bheap; -1 when free
-	headPrio   int32  // head slot's priority, inlined like headSeq
-}
-
-// syncHeadKey refreshes the bucket's inlined copy of its head's sort key.
-func (l *Loop) syncHeadKey(b *bucket) {
-	s := &l.slots[b.head]
-	b.headPrio = s.priority
-	b.headSeq = s.seq
+	s.canceled = true // in the now-queue: discarded when it reaches the head
 }
 
 // Loop is the discrete-event loop. The zero value is not usable; create one
@@ -218,27 +182,25 @@ type Loop struct {
 	now   Time
 	slots []eventSlot
 	free  []int32 // recycled slot indices
-	// Scheduler state: same-deadline runs share one bucket, ordered by a
-	// small heap over the runs' earliest events. wheelCount tracks slots
-	// currently held in buckets.
-	buckets []bucket
-	bfree   []int32 // recycled bucket indices
-	bheap   []int32 // bucket indices ordered by (at, head priority, head seq)
-	// lastBucket makes run formation O(1): the dominant pattern is a burst
-	// of schedules onto one deadline (packets filling a train, per-ACK
-	// timer rearms onto one RTO), and each joins the cached bucket without
-	// touching the heap. -1 when invalid.
-	lastBucket int32
+	// Timing wheel. Level k slot d holds, in FIFO (= seq) order, the events
+	// whose time agrees with cur on every bit above level k's six and whose
+	// level-k digit is d, with k the highest level at which the two differ;
+	// level 0 slots therefore hold exactly one timestamp each. cur never
+	// exceeds an event in the wheel, and it equals now whenever the wheel
+	// holds an event due at now. occ has bit d of word k set iff that slot
+	// is non-empty.
+	cur        Time
+	occ        [wheelLevels]uint64
+	head, tail [wheelLevels * wheelSlots]int32
 	wheelCount int
 	// nowq is the fast path for events scheduled at exactly the current
-	// time with default priority — the zero-delay deliveries that dominate
-	// packet-forwarding workloads. Entries are in seq order by
-	// construction (appended in scheduling order, and seq increases), so
-	// the queue is a FIFO ring consumed from nowHead; it is provably empty
-	// whenever the clock advances, because its entries sort before any
-	// later-timed bucketed event. Step merge-compares the ring head with the
-	// scheduler's minimum, so firing order remains exactly
-	// (at, priority, seq).
+	// time — the zero-delay deliveries that dominate packet-forwarding
+	// workloads. Entries are in seq order by construction (appended in
+	// scheduling order, and seq increases), so the queue is a FIFO ring
+	// consumed from nowHead; it is provably empty whenever the clock
+	// advances. Events in the wheel due at the same instant were scheduled
+	// before the clock got there, so they fire first; next checks that by
+	// seq, keeping firing order exactly (at, seq).
 	nowq     []int32
 	nowHead  int
 	nextSeq  uint64
@@ -250,17 +212,27 @@ type Loop struct {
 
 // NewLoop returns an empty event loop positioned at virtual time zero.
 func NewLoop() *Loop {
-	return &Loop{lastBucket: -1}
+	l := &Loop{}
+	l.clearWheel()
+	return l
+}
+
+func (l *Loop) clearWheel() {
+	for i := range l.head {
+		l.head[i], l.tail[i] = -1, -1
+	}
+	l.occ = [wheelLevels]uint64{}
+	l.cur = 0
+	l.wheelCount = 0
 }
 
 // Reset returns the loop to its initial state — virtual time zero, empty
-// queue — while keeping every allocated capacity (slot slab, free lists,
-// buckets, run heap, now-queue), so a driver running many sequential
-// simulations can reuse one warmed loop instead of regrowing these
-// structures per run (see engine.Shard.Loop). Any events still pending
-// are discarded. Event/Timer handles issued before the reset must not be
-// used afterwards: slot generations advance, which makes stale handles
-// inert.
+// queue — while keeping every allocated capacity (slot slab, free list,
+// now-queue), so a driver running many sequential simulations can reuse
+// one warmed loop instead of regrowing these structures per run (see
+// engine.Shard.Loop). Any events still pending are discarded. Timers
+// issued before the reset must not be used afterwards: slot generations
+// advance, which makes stale handles inert.
 func (l *Loop) Reset() {
 	if l.running {
 		panic("sim: Reset while running")
@@ -269,7 +241,7 @@ func (l *Loop) Reset() {
 		s := &l.slots[i]
 		s.fn, s.afn, s.arg = nil, nil, nil
 		s.canceled = false
-		s.bucket = -1
+		s.list = -1
 		s.gen++
 	}
 	l.free = l.free[:0]
@@ -278,11 +250,7 @@ func (l *Loop) Reset() {
 	}
 	l.nowq = l.nowq[:0]
 	l.nowHead = 0
-	l.buckets = l.buckets[:0]
-	l.bfree = l.bfree[:0]
-	l.bheap = l.bheap[:0]
-	l.lastBucket = -1
-	l.wheelCount = 0
+	l.clearWheel()
 	l.now = 0
 	l.nextSeq = 0
 	// counters and fired accumulate across resets; the stats sink flushes
@@ -292,8 +260,8 @@ func (l *Loop) Reset() {
 // Now reports the current virtual time.
 func (l *Loop) Now() Time { return l.now }
 
-// Pending reports the number of events currently queued (including canceled
-// events that have not yet been discarded).
+// Pending reports the number of events currently queued (including stopped
+// timer firings still waiting in the now-queue).
 func (l *Loop) Pending() int { return l.wheelCount + len(l.nowq) - l.nowHead }
 
 // SeqMark returns an opaque marker that changes whenever a new event is
@@ -309,59 +277,41 @@ func (l *Loop) Fired() uint64 { return l.fired }
 // Schedule queues fn to run after delay. A negative delay is treated as
 // zero: the event runs at the current time, after events already queued for
 // that time.
-func (l *Loop) Schedule(delay Time, fn Handler) Event {
+func (l *Loop) Schedule(delay Time, fn Handler) {
 	if delay < 0 {
 		delay = 0
 	}
-	return l.ScheduleAt(l.now+delay, fn)
+	l.ScheduleAt(l.now+delay, fn)
 }
 
 // ScheduleAt queues fn to run at the absolute virtual time at. Times in the
 // past are clamped to now.
-func (l *Loop) ScheduleAt(at Time, fn Handler) Event {
+func (l *Loop) ScheduleAt(at Time, fn Handler) {
 	if fn == nil {
 		panic("sim: Schedule with nil handler")
 	}
-	return l.newEvent(at, 0, fn, nil, nil)
-}
-
-// SchedulePriority queues fn to run after delay with an explicit priority.
-// Among events at the same time, lower priorities fire first; equal
-// priorities fire in scheduling order.
-func (l *Loop) SchedulePriority(delay Time, priority int, fn Handler) Event {
-	if fn == nil {
-		panic("sim: Schedule with nil handler")
-	}
-	if delay < 0 {
-		delay = 0
-	}
-	return l.newEvent(l.now+delay, int32(priority), fn, nil, nil)
+	l.scheduleSlot(at, fn, nil, nil)
 }
 
 // ScheduleArg queues fn to run after delay, passing arg when it fires. It
 // is the allocation-free alternative to Schedule for hot paths: the handler
 // is bound once at setup and the per-event state travels in arg (interface
 // conversion of a pointer allocates nothing).
-func (l *Loop) ScheduleArg(delay Time, fn ArgHandler, arg any) Event {
+func (l *Loop) ScheduleArg(delay Time, fn ArgHandler, arg any) {
 	if fn == nil {
 		panic("sim: Schedule with nil handler")
 	}
 	if delay < 0 {
 		delay = 0
 	}
-	return l.newEvent(l.now+delay, 0, nil, fn, arg)
-}
-
-func (l *Loop) newEvent(at Time, priority int32, fn Handler, afn ArgHandler, arg any) Event {
-	slot, gen := l.scheduleSlot(at, priority, fn, afn, arg)
-	return Event{loop: l, slot: slot, gen: gen, at: l.slots[slot].at}
+	l.scheduleSlot(l.now+delay, nil, fn, arg)
 }
 
 // scheduleSlot places a callback in the slab and scheduler, returning its
 // slot index and generation. This is the single scheduling primitive every
 // public method funnels through; it performs no allocation once the slab
-// and buckets have reached the workload's high-water mark.
-func (l *Loop) scheduleSlot(at Time, priority int32, fn Handler, afn ArgHandler, arg any) (int32, uint32) {
+// has reached the workload's high-water mark.
+func (l *Loop) scheduleSlot(at Time, fn Handler, afn ArgHandler, arg any) (int32, uint32) {
 	if at < l.now {
 		at = l.now
 	}
@@ -370,290 +320,178 @@ func (l *Loop) scheduleSlot(at Time, priority int32, fn Handler, afn ArgHandler,
 		idx = l.free[n-1]
 		l.free = l.free[:n-1]
 	} else {
-		l.slots = append(l.slots, eventSlot{})
+		l.slots = append(l.slots, eventSlot{list: -1})
 		idx = int32(len(l.slots) - 1)
 	}
 	s := &l.slots[idx]
 	s.at = at
-	s.priority = priority
 	s.seq = l.nextSeq
 	s.fn = fn
 	s.afn = afn
 	s.arg = arg
-	s.canceled = false
 	l.nextSeq++
 	l.counters.Scheduled++
-	if at == l.now && priority == 0 {
-		s.bucket = -1
-		l.nowq = append(l.nowq, idx)
-		l.counters.NowFast++
-	} else {
-		l.wheelInsert(idx)
-	}
+	l.enqueue(idx)
 	if p := l.Pending(); p > l.counters.MaxPending {
 		l.counters.MaxPending = p
 	}
 	return idx, s.gen
 }
 
-// wheelInsert places a slot in a same-deadline bucket. The cached bucket
-// catches the dominant pattern — consecutive schedules onto one deadline —
-// in O(1) with no heap work (a tail append never changes the bucket's
-// earliest event); everything else opens a fresh bucket. Two buckets may
-// share a timestamp (a run interrupted by other deadlines, then resumed):
-// their seq ranges are disjoint and the heap orders them by head event, so
-// firing order stays exactly (at, priority, seq).
-//
-// Within a bucket slots are kept in (priority, seq) order; the inserting
-// slot always has the highest seq, so it appends at the tail unless a
-// higher-priority-value (later-firing) entry sits there — the rare
-// SchedulePriority case, handled by a scan.
-func (l *Loop) wheelInsert(idx int32) {
+// enqueue files a freshly stamped slot: the now-queue when it is due at the
+// current instant, the wheel otherwise.
+func (l *Loop) enqueue(idx int32) {
 	s := &l.slots[idx]
-	s.next, s.prev = -1, -1
-	bi := l.lastBucket
-	if bi < 0 || l.buckets[bi].at != s.at {
-		l.counters.BucketNew++
-		if n := len(l.bfree); n > 0 {
-			bi = l.bfree[n-1]
-			l.bfree = l.bfree[:n-1]
-		} else {
-			l.buckets = append(l.buckets, bucket{})
-			bi = int32(len(l.buckets) - 1)
-		}
-		b := &l.buckets[bi]
-		b.at = s.at
-		b.head, b.tail = idx, idx
-		b.headPrio = s.priority
-		b.headSeq = s.seq
-		s.bucket = bi
-		l.lastBucket = bi
-		l.bheapPush(bi)
-		l.wheelCount++
-		if n := len(l.bheap); n > l.counters.MaxBuckets {
-			l.counters.MaxBuckets = n
-		}
+	if s.at == l.now {
+		s.list = -1
+		l.nowq = append(l.nowq, idx)
+		l.counters.NowFast++
 		return
 	}
-	l.counters.BucketHit++
-	b := &l.buckets[bi]
-	s.bucket = bi
-	if l.slots[b.tail].priority <= s.priority {
-		// FIFO fast path: new event fires after everything queued for this
-		// deadline; the bucket's heap position is untouched.
-		s.prev = b.tail
-		l.slots[b.tail].next = idx
-		b.tail = idx
+	li := l.wheelList(s.at)
+	if t := l.tail[li]; t >= 0 && l.slots[t].at == s.at {
+		l.counters.BucketHit++
 	} else {
-		// A lower-priority value fires earlier: walk to the first entry
-		// that must fire after the new one and insert before it.
-		cur := b.head
-		for cur != -1 && l.slots[cur].priority <= s.priority {
-			cur = l.slots[cur].next
-		}
-		s.next = cur
-		s.prev = l.slots[cur].prev
-		l.slots[cur].prev = idx
-		if s.prev != -1 {
-			l.slots[s.prev].next = idx
-		} else {
-			// New bucket minimum: restore heap order.
-			b.head = idx
-			b.headPrio = s.priority
-			b.headSeq = s.seq
-			l.bheapUp(int(b.heapIdx))
-		}
+		l.counters.BucketNew++
 	}
+	l.wheelLink(idx, li)
 	l.wheelCount++
 }
 
-// wheelPop removes and returns the wheel's earliest slot. The caller must
-// ensure the wheel is non-empty.
-func (l *Loop) wheelPop() int32 {
-	bi := l.bheap[0]
-	b := &l.buckets[bi]
-	idx := b.head
-	s := &l.slots[idx]
-	b.head = s.next
-	if b.head != -1 {
-		l.slots[b.head].prev = -1
-		l.syncHeadKey(b)
-		// The run's earliest event grew; re-sink among equal-time runs.
-		l.bheapDown(0)
-	} else {
-		l.freeBucket(bi, 0)
+// wheelList returns the wheel slot (level*wheelSlots + digit) an event at
+// time at belongs in relative to cur: the highest 6-bit digit where the
+// two differ selects the level, at's digit there the slot.
+func (l *Loop) wheelList(at Time) int {
+	x := uint64(at ^ l.cur)
+	if x == 0 {
+		return int(uint64(at) & wheelMask)
 	}
-	s.bucket = -1
-	l.wheelCount--
-	return idx
+	k := (63 - bits.LeadingZeros64(x)) / wheelBits
+	return k*wheelSlots + int(uint64(at)>>(k*wheelBits)&wheelMask)
 }
 
-// wheelUnlink removes a slot from its bucket without firing it (Timer.Reset
-// repositioning). The caller must know the slot is bucket-resident
-// (bucket >= 0).
+// wheelLink appends a slot to the tail of wheel slot li's FIFO list.
+func (l *Loop) wheelLink(idx int32, li int) {
+	s := &l.slots[idx]
+	s.list = int16(li)
+	s.next = -1
+	s.prev = l.tail[li]
+	if s.prev >= 0 {
+		l.slots[s.prev].next = idx
+	} else {
+		l.head[li] = idx
+		l.occ[li/wheelSlots] |= 1 << (li % wheelSlots)
+	}
+	l.tail[li] = idx
+}
+
+// wheelUnlink removes a slot from its wheel list without firing it.
 func (l *Loop) wheelUnlink(idx int32) {
 	s := &l.slots[idx]
-	bi := s.bucket
-	b := &l.buckets[bi]
-	if s.prev != -1 {
+	li := int(s.list)
+	if s.prev >= 0 {
 		l.slots[s.prev].next = s.next
 	} else {
-		b.head = s.next
+		l.head[li] = s.next
 	}
-	if s.next != -1 {
+	if s.next >= 0 {
 		l.slots[s.next].prev = s.prev
 	} else {
-		b.tail = s.prev
+		l.tail[li] = s.prev
 	}
-	s.bucket = -1
+	if l.head[li] < 0 {
+		l.occ[li/wheelSlots] &^= 1 << (li % wheelSlots)
+	}
+	s.list = -1
 	l.wheelCount--
-	if b.head == -1 {
-		l.freeBucket(bi, int(b.heapIdx))
-	} else if s.prev == -1 {
-		// The head changed; the run sinks (its key can only grow).
-		l.syncHeadKey(b)
-		l.bheapDown(int(b.heapIdx))
-	}
 }
 
-// freeBucket detaches an emptied bucket from the run heap (at heap
-// position hi) and recycles it.
-func (l *Loop) freeBucket(bi int32, hi int) {
-	if l.lastBucket == bi {
-		l.lastBucket = -1
-	}
-	l.buckets[bi].heapIdx = -1
-	n := len(l.bheap) - 1
-	l.bheap[hi] = l.bheap[n]
-	l.bheap = l.bheap[:n]
-	if hi < n {
-		l.buckets[l.bheap[hi]].heapIdx = int32(hi)
-		l.bheapDown(hi)
-		l.bheapUp(hi)
-	}
-	l.bfree = append(l.bfree, bi)
-}
-
-// bucketLess orders buckets by their earliest event: (at, priority, seq)
-// of the head slot, read from the inlined key copy. Equal-time buckets
-// hold disjoint seq ranges, so the comparison reproduces the global firing
-// order exactly.
-func (l *Loop) bucketLess(a, b int32) bool {
-	ba, bb := &l.buckets[a], &l.buckets[b]
-	if ba.at != bb.at {
-		return ba.at < bb.at
-	}
-	if ba.headPrio != bb.headPrio {
-		return ba.headPrio < bb.headPrio
-	}
-	return ba.headSeq < bb.headSeq
-}
-
-// bheapPush inserts a bucket index into the run heap.
-func (l *Loop) bheapPush(bi int32) {
-	l.buckets[bi].heapIdx = int32(len(l.bheap))
-	l.bheap = append(l.bheap, bi)
-	l.bheapUp(len(l.bheap) - 1)
-}
-
-func (l *Loop) bheapUp(i int) {
-	h := l.bheap
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !l.bucketLess(h[i], h[parent]) {
-			break
+// wheelSeek cascades the wheel until its earliest event sits in a level-0
+// slot and returns that slot, or -1 when the wheel holds nothing at or
+// before limit. cur only moves to the start of a slot that holds an event
+// at or before limit, so it never passes an event, and never passes the
+// clock's next value.
+func (l *Loop) wheelSeek(limit Time) int {
+	for l.wheelCount > 0 {
+		cur := uint64(l.cur)
+		if m := l.occ[0] >> (cur & wheelMask); m != 0 {
+			d := cur&wheelMask + uint64(bits.TrailingZeros64(m))
+			if Time(cur&^wheelMask|d) > limit {
+				return -1
+			}
+			return int(d)
 		}
-		h[i], h[parent] = h[parent], h[i]
-		l.buckets[h[i]].heapIdx = int32(i)
-		i = parent
+		k := 1
+		for ; k < wheelLevels; k++ {
+			shift := uint(k * wheelBits)
+			d := cur >> shift & wheelMask
+			if m := l.occ[k] >> d >> 1; m != 0 {
+				d += 1 + uint64(bits.TrailingZeros64(m))
+				start := cur>>(shift+wheelBits)<<(shift+wheelBits) | d<<shift
+				if Time(start) > limit {
+					return -1
+				}
+				l.cascade(k*wheelSlots+int(d), Time(start))
+				break
+			}
+		}
+		if k == wheelLevels {
+			panic("sim: timing wheel lost its events")
+		}
 	}
-	l.buckets[h[i]].heapIdx = int32(i)
+	return -1
 }
 
-func (l *Loop) bheapDown(i int) {
-	h := l.bheap
-	n := len(h)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		child := left
-		if right := left + 1; right < n && l.bucketLess(h[right], h[left]) {
-			child = right
-		}
-		if !l.bucketLess(h[child], h[i]) {
-			break
-		}
-		h[i], h[child] = h[child], h[i]
-		l.buckets[h[i]].heapIdx = int32(i)
-		i = child
+// cascade empties wheel slot li, advances cur to the slot's start time and
+// refiles its events one level down or more. Walking the list in order
+// keeps every destination list in seq order: a lower slot in the new range
+// can only fill after cur has entered that range.
+func (l *Loop) cascade(li int, start Time) {
+	idx := l.head[li]
+	l.head[li], l.tail[li] = -1, -1
+	l.occ[li/wheelSlots] &^= 1 << (li % wheelSlots)
+	l.cur = start
+	for idx >= 0 {
+		next := l.slots[idx].next
+		l.wheelLink(idx, l.wheelList(l.slots[idx].at))
+		idx = next
 	}
-	l.buckets[h[i]].heapIdx = int32(i)
 }
 
-// less orders slots by (at, priority, seq) — the documented firing order.
-func (l *Loop) less(a, b int32) bool {
-	sa, sb := &l.slots[a], &l.slots[b]
-	if sa.at != sb.at {
-		return sa.at < sb.at
-	}
-	if sa.priority != sb.priority {
-		return sa.priority < sb.priority
-	}
-	return sa.seq < sb.seq
-}
-
-// popNow consumes the now-queue's head.
-func (l *Loop) popNow() int32 {
-	idx := l.nowq[l.nowHead]
-	l.nowHead++
-	if l.nowHead == len(l.nowq) {
-		l.nowq = l.nowq[:0]
-		l.nowHead = 0
-	}
+// wheelPop removes the head of level-0 slot d, moving cur to its time.
+func (l *Loop) wheelPop(d int) int32 {
+	idx := l.head[d]
+	l.cur = l.slots[idx].at
+	l.wheelUnlink(idx)
 	return idx
 }
 
-// wheelMin returns the slot index of the scheduler's earliest event. The
-// caller must ensure wheelCount > 0.
-func (l *Loop) wheelMin() int32 { return l.buckets[l.bheap[0]].head }
-
-// peekNext returns the slot index of the globally earliest event without
-// removing it; ok is false when no events remain.
-func (l *Loop) peekNext() (int32, bool) {
-	hasNow := l.nowHead < len(l.nowq)
-	hasFuture := l.wheelCount > 0
-	switch {
-	case !hasNow && !hasFuture:
-		return 0, false
-	case hasNow && !hasFuture:
-		return l.nowq[l.nowHead], true
-	case hasFuture && !hasNow:
-		return l.wheelMin(), true
+// next removes and returns the slot of the earliest event at or before
+// limit, or -1 when there is none. Stopped timer firings met at the head of
+// the now-queue are recycled on the way.
+func (l *Loop) next(limit Time) int32 {
+	for l.nowHead < len(l.nowq) {
+		idx := l.nowq[l.nowHead]
+		// A wheel event due now can only sit in level-0 slot cur.
+		if l.cur == l.now {
+			if d := int(uint64(l.cur) & wheelMask); l.occ[0]&(1<<d) != 0 && l.slots[l.head[d]].seq < l.slots[idx].seq {
+				return l.wheelPop(d)
+			}
+		}
+		l.nowHead++
+		if l.nowHead == len(l.nowq) {
+			l.nowq = l.nowq[:0]
+			l.nowHead = 0
+		}
+		if !l.slots[idx].canceled {
+			return idx
+		}
+		l.freeSlot(idx)
 	}
-	if min := l.wheelMin(); l.less(min, l.nowq[l.nowHead]) {
-		return min, true
+	if d := l.wheelSeek(limit); d >= 0 {
+		return l.wheelPop(d)
 	}
-	return l.nowq[l.nowHead], true
-}
-
-// popNext removes and returns the globally earliest event's slot index.
-func (l *Loop) popNext() (int32, bool) {
-	hasNow := l.nowHead < len(l.nowq)
-	hasFuture := l.wheelCount > 0
-	switch {
-	case !hasNow && !hasFuture:
-		return 0, false
-	case hasNow && !hasFuture:
-		return l.popNow(), true
-	case hasFuture && !hasNow:
-		return l.wheelPop(), true
-	}
-	if l.less(l.wheelMin(), l.nowq[l.nowHead]) {
-		return l.wheelPop(), true
-	}
-	return l.popNow(), true
+	return -1
 }
 
 // freeSlot recycles a slot: handler references are dropped so the GC can
@@ -664,40 +502,39 @@ func (l *Loop) freeSlot(idx int32) {
 	s.afn = nil
 	s.arg = nil
 	s.canceled = false
-	s.bucket = -1
+	s.list = -1
 	s.gen++
 	l.free = append(l.free, idx)
 }
 
-// Step fires the single earliest pending non-canceled event, advancing the
-// clock to its timestamp. It reports false when no events remain.
-func (l *Loop) Step() bool {
-	for {
-		idx, ok := l.popNext()
-		if !ok {
-			return false
-		}
-		s := &l.slots[idx]
-		if s.canceled {
-			l.freeSlot(idx)
-			continue
-		}
-		if s.at < l.now {
-			panic(fmt.Sprintf("sim: event scheduled at %v fired at %v (clock went backwards)", s.at, l.now))
-		}
-		l.now = s.at
-		l.fired++
-		// Copy the callback out and recycle the slot before invoking, so
-		// handlers that schedule new events can reuse it immediately.
-		fn, afn, arg := s.fn, s.afn, s.arg
-		l.freeSlot(idx)
-		if afn != nil {
-			afn(l.now, arg)
-		} else {
-			fn(l.now)
-		}
-		return true
+// fire runs a slot removed by next, advancing the clock to its timestamp.
+func (l *Loop) fire(idx int32) {
+	s := &l.slots[idx]
+	if s.at < l.now {
+		panic(fmt.Sprintf("sim: event scheduled at %v fired at %v (clock went backwards)", s.at, l.now))
 	}
+	l.now = s.at
+	l.fired++
+	// Copy the callback out and recycle the slot before invoking, so
+	// handlers that schedule new events can reuse it immediately.
+	fn, afn, arg := s.fn, s.afn, s.arg
+	l.freeSlot(idx)
+	if afn != nil {
+		afn(l.now, arg)
+	} else {
+		fn(l.now)
+	}
+}
+
+// Step fires the single earliest pending event, advancing the clock to its
+// timestamp. It reports false when no events remain.
+func (l *Loop) Step() bool {
+	idx := l.next(MaxTime)
+	if idx < 0 {
+		return false
+	}
+	l.fire(idx)
+	return true
 }
 
 // Run fires events until the queue is empty, then returns the final virtual
@@ -722,21 +559,8 @@ func (l *Loop) RunUntil(deadline Time) {
 	}
 	l.running = true
 	defer func() { l.running = false }()
-	for {
-		idx, ok := l.peekNext()
-		if !ok {
-			break
-		}
-		s := &l.slots[idx]
-		if s.canceled {
-			l.popNext()
-			l.freeSlot(idx)
-			continue
-		}
-		if s.at > deadline {
-			break
-		}
-		l.Step()
+	for idx := l.next(deadline); idx >= 0; idx = l.next(deadline) {
+		l.fire(idx)
 	}
 	if l.now < deadline {
 		l.now = deadline

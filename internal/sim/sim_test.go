@@ -46,14 +46,20 @@ func TestSameTimeFIFO(t *testing.T) {
 	}
 }
 
-func TestPriorityOrdering(t *testing.T) {
+// TestRearmOrdersBySeq pins the single ordering key (at, seq): among events
+// due at one instant, a Timer rearmed onto that instant takes a fresh
+// sequence number and fires after every event already scheduled there,
+// even one scheduled after the timer's first arming.
+func TestRearmOrdersBySeq(t *testing.T) {
 	l := NewLoop()
 	var order []string
-	l.SchedulePriority(Millisecond, 5, func(Time) { order = append(order, "low") })
-	l.SchedulePriority(Millisecond, 1, func(Time) { order = append(order, "high") })
+	tm := l.NewTimer(func(Time) { order = append(order, "timer") })
+	tm.Reset(Millisecond)
+	l.Schedule(Millisecond, func(Time) { order = append(order, "event") })
+	tm.Reset(Millisecond)
 	l.Run()
-	if len(order) != 2 || order[0] != "high" || order[1] != "low" {
-		t.Fatalf("priority order = %v, want [high low]", order)
+	if len(order) != 2 || order[0] != "event" || order[1] != "timer" {
+		t.Fatalf("order = %v, want [event timer]", order)
 	}
 }
 
@@ -97,26 +103,54 @@ func TestScheduleAtPastClamped(t *testing.T) {
 func TestCancel(t *testing.T) {
 	l := NewLoop()
 	fired := false
-	e := l.Schedule(Millisecond, func(Time) { fired = true })
-	e.Cancel()
+	tm := l.NewTimer(func(Time) { fired = true })
+	tm.Reset(Millisecond)
+	tm.Stop()
 	l.Run()
 	if fired {
-		t.Fatal("canceled event fired")
+		t.Fatal("stopped timer fired")
 	}
-	if !e.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
+	if l.Pending() != 0 {
+		t.Fatalf("Pending = %d after Stop, want 0 (a wheel-resident firing unlinks at once)", l.Pending())
 	}
 }
 
 func TestCancelDuringRun(t *testing.T) {
 	l := NewLoop()
-	var e2 Event
 	fired := false
-	l.Schedule(Millisecond, func(Time) { e2.Cancel() })
-	e2 = l.Schedule(2*Millisecond, func(Time) { fired = true })
+	tm := l.NewTimer(func(Time) { fired = true })
+	l.Schedule(Millisecond, func(Time) { tm.Stop() })
+	tm.Reset(2 * Millisecond)
 	l.Run()
 	if fired {
-		t.Fatal("event canceled mid-run still fired")
+		t.Fatal("timer stopped mid-run still fired")
+	}
+}
+
+// TestCancelNowQueued stops and rearms a timer whose firing is due at the
+// current instant (held in the now-queue, which cancels lazily).
+func TestCancelNowQueued(t *testing.T) {
+	l := NewLoop()
+	fired := 0
+	tm := l.NewTimer(func(Time) { fired++ })
+	l.Schedule(Millisecond, func(Time) {
+		tm.Reset(0)
+		tm.Stop()
+	})
+	l.Run()
+	if fired != 0 {
+		t.Fatal("now-queued timer stopped before its turn still fired")
+	}
+	l.Schedule(Millisecond, func(Time) {
+		tm.Reset(0)
+		tm.Reset(0) // supersedes the first now-queued firing
+	})
+	l.Run()
+	if fired != 1 {
+		t.Fatalf("rearmed now-queued timer fired %d times, want 1", fired)
+	}
+	if l.Pending() != 0 {
+		t.Fatalf("Pending = %d after drain", l.Pending())
 	}
 }
 
@@ -391,13 +425,15 @@ func TestDurationHelper(t *testing.T) {
 	}
 }
 
-func TestEventAt(t *testing.T) {
+func TestTimerFiresAtResetTime(t *testing.T) {
 	l := NewLoop()
-	e := l.Schedule(7*Millisecond, func(Time) {})
-	if e.At() != 7*Millisecond {
-		t.Fatalf("At = %v, want 7ms", e.At())
-	}
+	var at Time
+	tm := l.NewTimer(func(now Time) { at = now })
+	tm.Reset(7 * Millisecond)
 	l.Run()
+	if at != 7*Millisecond {
+		t.Fatalf("timer fired at %v, want 7ms", at)
+	}
 }
 
 func TestScheduleArg(t *testing.T) {
@@ -508,17 +544,50 @@ func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 }
 
 func TestCancelAfterFireIsInert(t *testing.T) {
-	// A handle whose slot has been recycled must not cancel the slot's new
+	// A timer whose slot has been recycled must not cancel the slot's new
 	// occupant.
 	l := NewLoop()
-	e := l.Schedule(Millisecond, func(Time) {})
+	tm := l.NewTimer(func(Time) {})
+	tm.Reset(Millisecond)
 	l.Run()
 	fired := false
-	l.Schedule(Millisecond, func(Time) { fired = true }) // likely reuses e's slot
-	e.Cancel()
+	l.Schedule(Millisecond, func(Time) { fired = true }) // likely reuses tm's slot
+	tm.Stop()
+	tm.Stop()
 	l.Run()
 	if !fired {
-		t.Fatal("stale Cancel killed an unrelated event")
+		t.Fatal("stale Stop killed an unrelated event")
+	}
+}
+
+// TestResetKeepsOrderAcrossReuse drives one loop through Reset and checks
+// that timers issued before it are inert and the wheel starts empty at
+// time zero.
+func TestResetKeepsOrderAcrossReuse(t *testing.T) {
+	l := NewLoop()
+	stale := false
+	tm := l.NewTimer(func(Time) { stale = true })
+	tm.Reset(3 * Second)
+	l.Schedule(5*Second, func(Time) { stale = true })
+	l.RunUntil(Second)
+	l.Reset()
+	if l.Now() != 0 || l.Pending() != 0 {
+		t.Fatalf("after Reset: Now = %v, Pending = %d", l.Now(), l.Pending())
+	}
+	tm.Stop() // stale handle: inert
+	var order []Time
+	for _, d := range []Time{2 * Millisecond, Microsecond, 2 * Millisecond, 70 * Second} {
+		l.Schedule(d, func(now Time) { order = append(order, now) })
+	}
+	l.Run()
+	want := []Time{Microsecond, 2 * Millisecond, 2 * Millisecond, 70 * Second}
+	if stale || len(order) != len(want) {
+		t.Fatalf("stale fired = %v, order = %v", stale, order)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
 	}
 }
 

@@ -105,6 +105,10 @@ type Conn struct {
 	server bool
 	flow   uint64
 	state  State
+	// id is this connection's index in its stack's table (see
+	// Stack.register), peerID the peer's, learned from the SrcConn of its
+	// segments; 0 when unknown.
+	id, peerID uint32
 
 	// Sender state.
 	sndUna uint64 // oldest unacknowledged sequence number
@@ -192,6 +196,8 @@ type Conn struct {
 	// pooledFree marks a connection currently sitting in a ConnPool's free
 	// list; it guards against double-Recycle and use-after-recycle.
 	pooledFree bool
+	// serial orders a pooled connection in its pool's free heap.
+	serial uint32
 }
 
 func newConn(s *Stack, local, remote nsim.AddrPort, server bool) *Conn {
@@ -217,6 +223,10 @@ func newConn(s *Stack, local, remote nsim.AddrPort, server bool) *Conn {
 		rto:      initialRTO,
 	}
 	c.rtoTimer = s.loop.NewTimer(c.onRTO)
+	if p := s.connPool; p != nil {
+		c.serial = p.made
+		p.made++
+	}
 	return c
 }
 
@@ -1106,7 +1116,9 @@ func (c *Conn) sendAck() {
 	}
 	ack.Seq = c.sndNxt
 	ack.Ack = c.rcvNxt
-	ack.Sack = c.appendSackRanges(ack.Sack)
+	if blocks := c.sackBlocks(); len(blocks) > 0 {
+		ack.Sack = append(c.stack.segs.getSack(), blocks...)
+	}
 	c.transmit(ack)
 	c.stack.release(ack)
 }
@@ -1149,24 +1161,19 @@ func (c *Conn) noteOOO(r SackRange) {
 	}
 }
 
-// appendSackRanges appends the receiver's out-of-order ranges (up to a
-// small cap, like real TCP's SACK option) to dst, dropping ranges already
-// covered by the cumulative ack. Appending into the outgoing segment's
-// recycled Sack array keeps ACK generation allocation-free.
-func (c *Conn) appendSackRanges(dst []SackRange) []SackRange {
-	// Drop fully delivered ranges from the front.
+// sackBlocks returns the receiver's out-of-order ranges to report (up to
+// maxSackBlocks, like real TCP's SACK option), first dropping ranges the
+// cumulative ack already covers. The list is compacted in place, so its
+// capacity is kept for the next out-of-order arrival.
+func (c *Conn) sackBlocks() []SackRange {
 	k := 0
 	for k < len(c.sackList) && c.sackList[k].End <= c.rcvNxt {
 		k++
 	}
 	if k > 0 {
-		c.sackList = c.sackList[k:]
+		c.sackList = append(c.sackList[:0], c.sackList[k:]...)
 	}
-	n := len(c.sackList)
-	if n > 8 {
-		n = 8
-	}
-	return append(dst, c.sackList[:n]...)
+	return c.sackList[:min(len(c.sackList), maxSackBlocks)]
 }
 
 // maybeFinish closes the connection once both directions are done: our FIN

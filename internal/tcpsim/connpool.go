@@ -15,7 +15,18 @@ import "repro/internal/nsim"
 // be threaded through many sequential simulations and shared by stacks on
 // the same loop, but must never be shared across concurrently running loops.
 type ConnPool struct {
+	// free is a min-heap on Conn.serial: a Dial or accept always reuses
+	// the oldest parked connection. In a deterministic workload that makes
+	// every run hand the same connection to the same flow — the first run
+	// allocates connections in serial order, and later runs find exactly
+	// the free set the first run had, plus connections it had yet to make,
+	// which all sort above it — so the queue, map and scratch capacities
+	// each connection grew once fit it in every later run, and a warmed
+	// pool allocates nothing however many runs follow. (A LIFO list would
+	// deal connections to different flows each run, and their capacities
+	// would keep ratcheting up over many runs.)
 	free []*Conn
+	made uint32 // serials handed out
 	// gets counts every newConn on a pooled stack (whether served from the
 	// free list or freshly allocated); puts counts every Recycle. The
 	// difference is the number of pool-managed connections currently live.
@@ -36,9 +47,6 @@ func (p *ConnPool) Outstanding() int64 { return int64(p.gets) - int64(p.puts) }
 // behave exactly as before.
 func (s *Stack) SetConnPool(p *ConnPool) { s.connPool = p }
 
-// ConnPoolStats exposes the attached pool (nil if none), for ledger checks.
-func (s *Stack) ConnPoolStats() *ConnPool { return s.connPool }
-
 // takePooledConn pops a recycled connection, counting the request either
 // way so the ledger covers fresh allocations too. Returns nil when no pool
 // is attached or the free list is empty.
@@ -48,13 +56,45 @@ func (s *Stack) takePooledConn() *Conn {
 		return nil
 	}
 	p.gets++
-	if n := len(p.free); n > 0 {
-		c := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		return c
+	n := len(p.free) - 1
+	if n < 0 {
+		return nil
 	}
-	return nil
+	c := p.free[0]
+	p.free[0] = p.free[n]
+	p.free[n] = nil
+	p.free = p.free[:n]
+	// Sift the moved tail entry down to restore heap order.
+	h, i := p.free, 0
+	for {
+		m := i
+		if l := 2*i + 1; l < n && h[l].serial < h[m].serial {
+			m = l
+		}
+		if r := 2*i + 2; r < n && h[r].serial < h[m].serial {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	return c
+}
+
+// park pushes a recycled connection onto the free heap.
+func (p *ConnPool) park(c *Conn) {
+	p.free = append(p.free, c)
+	h, i := p.free, len(p.free)-1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h[parent].serial <= h[i].serial {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
 }
 
 // Recycle returns a fully closed connection to the stack's pool for reuse
@@ -87,7 +127,7 @@ func (s *Stack) Recycle(c *Conn) {
 	c.closedErr = nil
 	c.pooledFree = true
 	p.puts++
-	p.free = append(p.free, c)
+	p.park(c)
 }
 
 // reset rebuilds a recycled connection into the state newConn would have

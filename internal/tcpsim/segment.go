@@ -81,6 +81,9 @@ func (f Flags) String() string {
 	return strings.Join(parts, "|")
 }
 
+// maxSackBlocks caps the SACK ranges one ACK reports.
+const maxSackBlocks = 8
+
 // SackRange is a received-but-not-yet-acknowledged byte range
 // [Start, End), reported by the receiver in ACKs (RFC 2018 SACK).
 type SackRange struct {
@@ -102,6 +105,13 @@ type Segment struct {
 	// uses it to fill all holes in parallel rather than one per RTT, like
 	// the Linux stacks Mahimahi's measurements ran over.
 	Sack []SackRange
+	// SrcConn and DstConn are receiver-chosen connection indices, as in
+	// QUIC's connection IDs (RFC 9000 §5.1): every segment carries its
+	// sender's index in SrcConn, and once the handshake has taught a
+	// connection its peer's index, DstConn names the receiving connection
+	// so the peer's stack finds it without hashing the four-tuple. Zero
+	// means unknown (SYNs, hand-built segments).
+	SrcConn, DstConn uint32
 
 	// Pool bookkeeping (see Stack.newSegment). Segments travel by pointer
 	// through the simulated network, so one object can simultaneously be

@@ -21,7 +21,16 @@ type Stack struct {
 	loop      *sim.Loop
 	cc        CongestionAlgorithm
 	ecn       bool
+	// conns finds a connection by four-tuple: SYNs, segments sent before
+	// the handshake taught the peer this side's index, and stale
+	// segments. Established traffic goes through tab instead: connection
+	// c sits at tab[c.id-1], and its peer stamps c.id into every segment's
+	// DstConn (see Segment.SrcConn), so demux is an index plus a
+	// four-tuple check that proves the hit is the connection the map would
+	// have returned.
 	conns     map[fourTuple]*Conn
+	tab       []*Conn
+	tabFree   []uint32
 	listeners map[nsim.AddrPort]func(*Conn)
 	boundPort map[uint16]bool // listener ports already bound on the namespace
 	// segs recycles Segments. The whole simulation is single-goroutine per
@@ -59,6 +68,11 @@ type Stack struct {
 // worker rather than once per simulation.
 type SegmentPool struct {
 	free []*Segment
+	// sacks recycles SACK block arrays, all of capacity maxSackBlocks. They
+	// are pooled apart from segments (only ACKs carry them), so a warmed
+	// pool holds as many as were ever in flight at once and no segment
+	// keeps a capacity its next use may outgrow.
+	sacks [][]SackRange
 	// gets and puts count pool traffic for leak accounting: every
 	// newSegment is balanced by exactly one final releaseSegment once all
 	// references drop, so at quiescence (all connections closed, nothing
@@ -70,8 +84,17 @@ type SegmentPool struct {
 // Zero at quiescence means no drop or teardown path leaked a reference.
 func (p *SegmentPool) Outstanding() int64 { return int64(p.gets) - int64(p.puts) }
 
+// getSack returns an empty SACK block array of capacity maxSackBlocks.
+func (p *SegmentPool) getSack() []SackRange {
+	if n := len(p.sacks); n > 0 {
+		b := p.sacks[n-1]
+		p.sacks = p.sacks[:n-1]
+		return b
+	}
+	return make([]SackRange, 0, maxSackBlocks)
+}
+
 // newSegment returns a zeroed segment with one reference (the creator's).
-// Data and Sack retain their recycled capacity.
 func (s *Stack) newSegment() *Segment {
 	pool := s.segs
 	pool.gets++
@@ -95,8 +118,8 @@ func (s *Stack) retain(seg *Segment) {
 
 // release drops one reference; the last release recycles the segment into
 // its origin pool. Callers must be done reading the segment before
-// releasing: recycling truncates Data/Sack in place and a later newSegment
-// reuses their backing arrays. Hand-built (non-pooled) segments are
+// releasing: recycling hands the Sack array back to the pool for a later
+// ACK to reuse. Hand-built (non-pooled) segments are
 // ignored.
 func (s *Stack) release(seg *Segment) { releaseSegment(seg) }
 
@@ -117,7 +140,11 @@ func releaseSegment(seg *Segment) {
 	// Data aliases the sending connection's buffer (see Conn.pump), whose
 	// other segments may still be in flight: drop it rather than reuse it.
 	seg.Data = nil
-	seg.Sack = seg.Sack[:0]
+	if cap(seg.Sack) == maxSackBlocks {
+		seg.pool.sacks = append(seg.pool.sacks, seg.Sack[:0])
+	}
+	seg.Sack = nil
+	seg.SrcConn, seg.DstConn = 0, 0
 	seg.pool.puts++
 	seg.pool.free = append(seg.pool.free, seg)
 }
@@ -203,6 +230,7 @@ func NewStackPool(ns *nsim.Namespace, segs *SegmentPool) *Stack {
 	}
 	s.recvFn = s.receive
 	ns.SetRxBatchHooks(s.beginRxBatch, s.endRxBatch)
+	ns.SetDemux(s.demux)
 	// Close the drop-release chain: a datagram dropped anywhere in the
 	// network gives its segment reference back to the pool. The retain
 	// hook is the chain's mirror image for duplicated wire copies.
@@ -271,7 +299,7 @@ func (s *Stack) Dial(laddr nsim.Addr, raddr nsim.AddrPort) (*Conn, error) {
 		return nil, err
 	}
 	c := newConn(s, lap, raddr, false)
-	s.conns[fourTuple{lap, raddr}] = c
+	s.register(c)
 	c.sendSYN()
 	return c, nil
 }
@@ -282,33 +310,87 @@ func (s *Stack) Dial(laddr nsim.Addr, raddr nsim.AddrPort) (*Conn, error) {
 // to arbitrary origin addresses.
 func (s *Stack) DeliverIntercepted(dg *nsim.Datagram) { s.receive(dg) }
 
-// receive demuxes an inbound datagram on a listening port. Every exit path
-// releases the wire copy's segment reference: a segment the connection
-// needs to keep (out-of-order reassembly) takes its own reference.
-func (s *Stack) receive(dg *nsim.Datagram) {
+// register enters a new connection into the four-tuple map and the
+// index table.
+func (s *Stack) register(c *Conn) {
+	s.conns[fourTuple{c.local, c.remote}] = c
+	if n := len(s.tabFree); n > 0 {
+		c.id = s.tabFree[n-1]
+		s.tabFree = s.tabFree[:n-1]
+		s.tab[c.id-1] = c
+	} else {
+		s.tab = append(s.tab, c)
+		c.id = uint32(len(s.tab))
+	}
+}
+
+// byIndex resolves a segment's DstConn. The four-tuple check makes a hit
+// exact: at most one live connection holds a four-tuple, so a stale or
+// reused index can only miss, never misdeliver.
+func (s *Stack) byIndex(dg *nsim.Datagram, seg *Segment) *Conn {
+	if i := seg.DstConn; i != 0 && int(i) <= len(s.tab) {
+		if c := s.tab[i-1]; c != nil && c.local == dg.Dst && c.remote == dg.Src {
+			return c
+		}
+	}
+	return nil
+}
+
+// demux is the namespace's established-connection lookup (see
+// nsim.Namespace.SetDemux): it claims a datagram whose segment names a
+// live connection by index, and leaves everything else to the socket
+// tables and receive.
+func (s *Stack) demux(dg *nsim.Datagram) bool {
 	seg, ok := dg.Payload.(*Segment)
 	if !ok {
-		return
+		return false
 	}
-	key := fourTuple{local: dg.Dst, remote: dg.Src}
+	c := s.byIndex(dg, seg)
+	if c == nil {
+		return false
+	}
+	s.deliver(c, dg, seg)
+	return true
+}
+
+// deliver hands a segment to its connection and releases the wire copy's
+// reference: a segment the connection needs to keep (out-of-order
+// reassembly) takes its own reference.
+func (s *Stack) deliver(c *Conn, dg *nsim.Datagram, seg *Segment) {
 	if dg.Corrupt {
 		// Checksum failure: the segment is discarded before any TCP
 		// processing — no ack, no state change — exactly as a hardware
 		// checksum drop. The loss is only discovered by the sender's
 		// retransmission machinery.
-		if c, ok := s.conns[key]; ok {
-			c.stats.ChecksumDrops++
-		}
+		c.stats.ChecksumDrops++
 		s.release(seg)
 		return
 	}
-	if c, ok := s.conns[key]; ok {
-		c.handleSegment(seg, dg.CE)
-		s.release(seg)
+	if seg.SrcConn != 0 {
+		c.peerID = seg.SrcConn
+	}
+	c.handleSegment(seg, dg.CE)
+	s.release(seg)
+}
+
+// receive demuxes an inbound datagram on a listening port or an
+// ephemeral socket. Every exit path releases the wire copy's segment
+// reference.
+func (s *Stack) receive(dg *nsim.Datagram) {
+	seg, ok := dg.Payload.(*Segment)
+	if !ok {
 		return
 	}
-	// New connection? Must be a SYN to a listener.
-	if seg.Flags&FlagSYN == 0 || seg.Flags&FlagACK != 0 {
+	c := s.byIndex(dg, seg)
+	if c == nil {
+		c = s.conns[fourTuple{local: dg.Dst, remote: dg.Src}]
+	}
+	if c != nil {
+		s.deliver(c, dg, seg)
+		return
+	}
+	// New connection? Must be an intact SYN to a listener.
+	if dg.Corrupt || seg.Flags&FlagSYN == 0 || seg.Flags&FlagACK != 0 {
 		s.release(seg)
 		return // stray segment for a dead connection; drop
 	}
@@ -317,11 +399,10 @@ func (s *Stack) receive(dg *nsim.Datagram) {
 		s.release(seg)
 		return // port bound but no listener for this address: drop (RST-less)
 	}
-	c := newConn(s, dg.Dst, dg.Src, true)
+	c = newConn(s, dg.Dst, dg.Src, true)
 	c.acceptFn = accept
-	s.conns[key] = c
-	c.handleSegment(seg, dg.CE)
-	s.release(seg)
+	s.register(c)
+	s.deliver(c, dg, seg)
 }
 
 func (s *Stack) lookupListener(ap nsim.AddrPort) func(*Conn) {
@@ -338,6 +419,9 @@ func (s *Stack) lookupListener(ap nsim.AddrPort) func(*Conn) {
 // ephemeral port.
 func (s *Stack) drop(c *Conn) {
 	delete(s.conns, fourTuple{c.local, c.remote})
+	s.tab[c.id-1] = nil
+	s.tabFree = append(s.tabFree, c.id)
+	c.id, c.peerID = 0, 0
 	if !c.server {
 		s.ns.Unbind(c.local)
 	}
@@ -359,6 +443,8 @@ func (s *Stack) send(c *Conn, seg *Segment) error {
 	// overflow. The SYN predates negotiation, so it is never ECT.
 	dg.ECT = c.ectOK
 	dg.Payload = seg
+	seg.SrcConn = c.id
+	seg.DstConn = c.peerID
 	return s.ns.Send(dg)
 }
 
