@@ -409,7 +409,7 @@ func BenchmarkPageLoad(b *testing.B) {
 // are expected to stay at (or very near) zero allocs/op in steady state.
 
 // BenchmarkLoopSchedule measures the scheduling primitive every simulated
-// packet, timer, and browser event goes through, on the calendar-queue
+// packet, timer, and browser event goes through, on the timing-wheel
 // scheduler at two queue depths (wheel: a page load's; wheel-standing12k:
 // a 10k-flow cell's).
 //
@@ -431,7 +431,7 @@ func BenchmarkLoopSchedule(b *testing.B) {
 	// The many-flow regime: a 10k-flow contention cell keeps an order of
 	// magnitude more timers and in-flight packets queued than a single page
 	// load. ns/event here versus the wheel row above is the "flat at depth"
-	// check — the calendar queue's per-event cost must not grow with the
+	// check — the timing wheel's per-event cost must not grow with the
 	// standing population.
 	b.Run("wheel-standing12k", func(b *testing.B) {
 		benchLoopSchedule(b, 12000, 1000)

@@ -14,6 +14,10 @@
 // -tolerance 10 (see EXPERIMENTS.md, "Benchmark baselines").
 //
 //	mm-benchgate -record BENCH_PR3.json bench.txt   # write a new baseline
+//
+// -record stamps the baseline's _meta with a fingerprint of the host it
+// runs on (Go version, CPU model, nproc, GOMAXPROCS, date), so run it on
+// the host that produced the benchmark output.
 package main
 
 import (
@@ -23,9 +27,11 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // baselineFile mirrors the committed BENCH_*.json layout.
@@ -206,6 +212,7 @@ func writeBaseline(path string, measured map[string]baselineEntry, count int) {
 	out := baselineFile{
 		Meta: map[string]any{
 			"description": fmt.Sprintf("Benchmark baseline (median of %d runs); capture/compare workflow: see EXPERIMENTS.md, 'Benchmark baselines'.", count),
+			"host":        hostFingerprint(),
 		},
 		Benchmarks: measured,
 	}
@@ -217,6 +224,29 @@ func writeBaseline(path string, measured map[string]baselineEntry, count int) {
 		fatalf("mm-benchgate: %v", err)
 	}
 	fmt.Printf("mm-benchgate: wrote %s (%d benchmarks)\n", path, len(measured))
+}
+
+// hostFingerprint identifies the recording host with the fields perfbench
+// records, so a time comparison can tell like hosts from unlike ones.
+func hostFingerprint() map[string]any {
+	model := "unknown"
+	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				model = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return map[string]any{
+		"go":         runtime.Version(),
+		"cpu_model":  model,
+		"nproc":      runtime.NumCPU(),
+		"gomaxprocs": runtime.GOMAXPROCS(0),
+		"goos":       runtime.GOOS,
+		"goarch":     runtime.GOARCH,
+		"date":       time.Now().UTC().Format(time.RFC3339),
+	}
 }
 
 func fatalf(format string, args ...any) {

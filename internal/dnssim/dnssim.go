@@ -55,14 +55,6 @@ func (r *Resolver) Add(host string, addr nsim.Addr) {
 	r.zones[host] = addr
 }
 
-// Remove deletes a record.
-func (r *Resolver) Remove(host string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.zones, host)
-	delete(r.cache, host)
-}
-
 // Len reports the number of records.
 func (r *Resolver) Len() int {
 	r.mu.RLock()
@@ -108,18 +100,6 @@ func (r *Resolver) Resolve(loop *sim.Loop, host string, done func(nsim.Addr, err
 		}
 		done(addr, nil)
 	})
-}
-
-// LookupNow resolves synchronously with no latency modeling, for tools and
-// tests.
-func (r *Resolver) LookupNow(host string) (nsim.Addr, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	addr, ok := r.zones[host]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNXDomain, host)
-	}
-	return addr, nil
 }
 
 // Stats reports (queries, cache hits).

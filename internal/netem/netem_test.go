@@ -551,17 +551,35 @@ func TestPipelineStats(t *testing.T) {
 	}
 }
 
+// duplex is a bidirectional link: an uplink pipeline (client to server)
+// and a downlink pipeline (server to client), the shape Mahimahi gives each
+// shell ("a separate queue ... for packets traversing the link in each
+// direction", paper §2).
+type duplex struct{ Up, Down *Pipeline }
+
+// nest places d inside outer with Pipeline.Append, the way shells nest:
+// the combined uplink is d.Up then outer.Up, the downlink outer.Down then
+// d.Down.
+func (d *duplex) nest(outer *duplex) *duplex {
+	up, down := NewPipeline(), NewPipeline()
+	up.Append(d.Up)
+	up.Append(outer.Up)
+	down.Append(outer.Down)
+	down.Append(d.Down)
+	return &duplex{Up: up, Down: down}
+}
+
 func TestDuplexNest(t *testing.T) {
 	loop := sim.NewLoop()
-	inner := NewDuplex(
+	inner := &duplex{
 		NewPipeline(NewDelayBox(loop, 10*sim.Millisecond)),
 		NewPipeline(NewDelayBox(loop, 10*sim.Millisecond)),
-	)
-	outer := NewDuplex(
+	}
+	outer := &duplex{
 		NewPipeline(NewDelayBox(loop, 5*sim.Millisecond)),
 		NewPipeline(NewDelayBox(loop, 5*sim.Millisecond)),
-	)
-	combined := inner.Nest(outer)
+	}
+	combined := inner.nest(outer)
 	var upAt, downAt sim.Time
 	combined.Up.SetSink(each(func(*Packet) { upAt = loop.Now() }))
 	combined.Down.SetSink(each(func(*Packet) { downAt = loop.Now() }))

@@ -11,7 +11,7 @@
 //     opportunity (LinkShell, §2).
 //
 // Boxes are unidirectional and composable in series (Pipeline); a
-// bidirectional link is a pair of pipelines (Duplex). Shell nesting in
+// bidirectional link is a pair of pipelines, one per direction. Shell nesting in
 // Mahimahi (`mm-delay 50 mm-link up down -- app`) corresponds to
 // concatenating each shell's boxes onto both directions.
 package netem

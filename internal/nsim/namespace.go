@@ -240,7 +240,7 @@ type Namespace struct {
 	// consulted before routing and the socket tables (see SetDemux).
 	demux    func(dg *Datagram) bool
 	nextPort uint16
-	stats     NamespaceStats
+	stats    NamespaceStats
 	// recvArg and deliverArg are the namespace's receive/deliverLocal
 	// methods pre-bound as ArgHandlers, so the per-packet event-loop hops
 	// (link delivery, loopback sends) schedule without allocating a
@@ -377,6 +377,9 @@ func (ns *Namespace) Unbind(ap AddrPort) {
 // BindEphemeral binds h to a fresh ephemeral port on the given local
 // address, returning the chosen endpoint.
 func (ns *Namespace) BindEphemeral(a Addr, h DatagramHandler) (AddrPort, error) {
+	if h == nil {
+		return AddrPort{}, errors.New("nsim: Bind with nil handler")
+	}
 	if !ns.locals[a] {
 		return AddrPort{}, fmt.Errorf("%w: %s", ErrNotLocal, a)
 	}
@@ -387,10 +390,8 @@ func (ns *Namespace) BindEphemeral(a Addr, h DatagramHandler) (AddrPort, error) 
 			ns.nextPort = 49152
 		}
 		ap := AddrPort{Addr: a, Port: port}
-		if _, ok := ns.sockets[ap]; ok {
-			continue
-		}
-		if err := ns.Bind(ap, h); err == nil {
+		if _, ok := ns.sockets[ap]; !ok {
+			ns.sockets[ap] = h
 			return ap, nil
 		}
 	}

@@ -54,12 +54,20 @@ func TestOriginsOwnedAndBound(t *testing.T) {
 	}
 }
 
+// lookup resolves host through the shell's resolver on a scratch loop.
+func lookup(sh *Shell, host string) (addr nsim.Addr, err error) {
+	loop := sim.NewLoop()
+	sh.Resolver.Resolve(loop, host, func(a nsim.Addr, e error) { addr, err = a, e })
+	loop.Run()
+	return addr, err
+}
+
 func TestResolverCoversAllHosts(t *testing.T) {
 	page := testPage()
 	site := webgen.Materialize(page)
 	_, sh, _ := testSetup(t, Config{Site: site})
 	for host, addr := range site.Hosts() {
-		got, err := sh.Resolver.LookupNow(host)
+		got, err := lookup(sh, host)
 		if err != nil || got != addr {
 			t.Fatalf("resolver %s -> %v, %v; want %v", host, got, err, addr)
 		}
@@ -175,7 +183,7 @@ func TestSingleServerModeOneAddress(t *testing.T) {
 	}
 	// All hosts resolve to the single address.
 	for host := range site.Hosts() {
-		got, err := sh.Resolver.LookupNow(host)
+		got, err := lookup(sh, host)
 		if err != nil {
 			t.Fatal(err)
 		}

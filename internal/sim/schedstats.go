@@ -5,9 +5,9 @@ import "sync/atomic"
 // SchedCounters are per-loop event-queue occupancy and scheduler counters,
 // maintained unconditionally (they are a handful of integer updates on
 // paths that already touch the same cache lines). BucketHit/BucketNew give
-// the scheduler's clustering ratio — the fraction of events that found an
-// existing timestamp bucket and scheduled in O(1) — while NowFast counts
-// the zero-delay fast path.
+// the workload's deadline clustering — the fraction of future events that
+// share their deadline with the event filed just before them in the same
+// wheel slot — while NowFast counts the zero-delay fast path.
 type SchedCounters struct {
 	// Scheduled counts events entered into the queue (including later
 	// canceled ones); Fired counts events that executed.
@@ -15,15 +15,14 @@ type SchedCounters struct {
 	Fired     uint64
 	// NowFast counts events taking the same-instant FIFO fast path.
 	NowFast uint64
-	// BucketHit counts bucketed events that joined the cached same-deadline
-	// run (O(1), no heap work); BucketNew counts events that opened a run
-	// (one run-heap push each).
+	// BucketHit counts wheel inserts (schedules and Timer rearms) that
+	// joined an existing same-deadline run: the tail of the target wheel
+	// slot already held an event at the same time. BucketNew counts the
+	// wheel inserts that did not. Both cost O(1).
 	BucketHit uint64
 	BucketNew uint64
-	// MaxPending is the event queue's high-water mark; MaxBuckets the
-	// scheduler's concurrent-run high-water mark.
+	// MaxPending is the event queue's high-water mark.
 	MaxPending int
-	MaxBuckets int
 }
 
 // Counters returns a snapshot of the loop's scheduler counters.
@@ -46,7 +45,6 @@ var statsSink struct {
 	bucketHit  atomic.Uint64
 	bucketNew  atomic.Uint64
 	maxPending atomic.Int64
-	maxBuckets atomic.Int64
 }
 
 // EnableSchedStats turns the process-wide scheduler-stats sink on or off.
@@ -65,7 +63,6 @@ func SchedStatsSnapshot() (SchedCounters, uint64) {
 		BucketHit:  statsSink.bucketHit.Load(),
 		BucketNew:  statsSink.bucketNew.Load(),
 		MaxPending: int(statsSink.maxPending.Load()),
-		MaxBuckets: int(statsSink.maxBuckets.Load()),
 	}, statsSink.loops.Load()
 }
 
@@ -78,7 +75,6 @@ func ResetSchedStats() {
 	statsSink.bucketHit.Store(0)
 	statsSink.bucketNew.Store(0)
 	statsSink.maxPending.Store(0)
-	statsSink.maxBuckets.Store(0)
 }
 
 func atomicMax(a *atomic.Int64, v int64) {
@@ -105,6 +101,5 @@ func (l *Loop) flushStats() {
 	statsSink.bucketHit.Add(c.BucketHit - l.flushed.BucketHit)
 	statsSink.bucketNew.Add(c.BucketNew - l.flushed.BucketNew)
 	atomicMax(&statsSink.maxPending, int64(c.MaxPending))
-	atomicMax(&statsSink.maxBuckets, int64(c.MaxBuckets))
 	l.flushed = c
 }

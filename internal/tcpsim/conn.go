@@ -1,7 +1,9 @@
 package tcpsim
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 
 	"repro/internal/nsim"
 	"repro/internal/sim"
@@ -160,7 +162,11 @@ type Conn struct {
 	// ceEcho makes every outgoing ACK carry ECE, from the first CE-marked
 	// arrival until the sender answers with CWR (RFC 3168 §6.1.3).
 	ceEcho bool
-	ooo    map[uint64]*Segment
+	// ooo is the reassembly buffer: out-of-order segments sorted by Seq,
+	// one per sequence number. Segment boundaries align across
+	// retransmissions (a retransmit resends the identical segment), so
+	// exact-sequence matching suffices.
+	ooo []*Segment
 	// sackList is the sorted, disjoint set of out-of-order byte ranges the
 	// receiver holds, maintained incrementally so ACK generation is O(1)
 	// in the common case.
@@ -189,15 +195,14 @@ type Conn struct {
 	closedErr     error
 	closeNotified bool
 
-	// oooScratch is reused by the deterministic out-of-order release paths
-	// (releaseStaleOOO, releaseAllOOO) so sorting the reassembly map's keys
-	// allocates nothing in steady state.
-	oooScratch []uint64
 	// pooledFree marks a connection currently sitting in a ConnPool's free
 	// list; it guards against double-Recycle and use-after-recycle.
 	pooledFree bool
 	// serial orders a pooled connection in its pool's free heap.
 	serial uint32
+	// recvFn is receive bound once per Conn object: the handler of a
+	// dialed connection's ephemeral socket.
+	recvFn func(*nsim.Datagram)
 }
 
 func newConn(s *Stack, local, remote nsim.AddrPort, server bool) *Conn {
@@ -219,10 +224,10 @@ func newConn(s *Stack, local, remote nsim.AddrPort, server bool) *Conn {
 		state:    st,
 		cwnd:     InitialWindow,
 		ssthresh: ReceiveWindow,
-		ooo:      make(map[uint64]*Segment),
 		rto:      initialRTO,
 	}
 	c.rtoTimer = s.loop.NewTimer(c.onRTO)
+	c.recvFn = c.receive
 	if p := s.connPool; p != nil {
 		c.serial = p.made
 		p.made++
@@ -504,6 +509,17 @@ func (c *Conn) transmit(seg *Segment) {
 		c.stack.release(seg) // the wire copy never entered the network
 		c.teardown(err)
 	}
+}
+
+// receive handles a datagram arriving on a dialed connection's own
+// ephemeral socket. Anything not from the connection's peer goes through
+// the stack's general demux, as if the socket were the stack's.
+func (c *Conn) receive(dg *nsim.Datagram) {
+	if seg, ok := dg.Payload.(*Segment); ok && dg.Src == c.remote {
+		c.stack.deliver(c, dg, seg)
+		return
+	}
+	c.stack.receive(dg)
 }
 
 // handleSegment is the single entry point for inbound segments. ce reports
@@ -982,9 +998,9 @@ func (c *Conn) processData(seg *Segment) {
 		// Out of order: buffer (taking a reference) and send duplicate ACK.
 		// A copy of a segment already buffered (duplication, a spurious
 		// retransmit of a SACKed segment) is entirely wasted bytes.
-		if _, ok := c.ooo[seg.Seq]; !ok {
+		if i, ok := c.oooFind(seg.Seq); !ok {
 			c.stack.retain(seg)
-			c.ooo[seg.Seq] = seg
+			c.ooo = slices.Insert(c.ooo, i, seg)
 			c.noteOOO(SackRange{Start: seg.Seq, End: seg.Seq + seg.SeqLen()})
 		} else {
 			c.stats.DupBytesRcvd += uint64(len(seg.Data))
@@ -993,16 +1009,15 @@ func (c *Conn) processData(seg *Segment) {
 		return
 	}
 	c.absorb(seg)
-	// Drain now-contiguous out-of-order segments. Segment boundaries align
-	// across retransmissions (a retransmit resends the identical segment),
-	// so exact-sequence matching suffices.
+	// Drain now-contiguous out-of-order segments.
 	for {
-		next, ok := c.ooo[c.rcvNxt]
+		i, ok := c.oooFind(c.rcvNxt)
 		if !ok {
 			c.releaseStaleOOO()
 			break
 		}
-		delete(c.ooo, c.rcvNxt)
+		next := c.ooo[i]
+		c.ooo = slices.Delete(c.ooo, i, i+1)
 		c.absorb(next)
 		c.stack.release(next)
 	}
@@ -1010,62 +1025,40 @@ func (c *Conn) processData(seg *Segment) {
 	c.maybeFinish()
 }
 
+// oooFind reports where seq sits, or would sit, in the reassembly buffer.
+func (c *Conn) oooFind(seq uint64) (int, bool) {
+	return slices.BinarySearchFunc(c.ooo, seq, func(sg *Segment, seq uint64) int {
+		return cmp.Compare(sg.Seq, seq)
+	})
+}
+
 // releaseStaleOOO releases reassembly-buffer segments made entirely stale by
-// the cumulative receive point, in ascending sequence order. Go randomizes
-// map iteration, so releasing while ranging over c.ooo would return segments
-// to the pool in a run-dependent order — and the pool is LIFO, so that order
-// leaks into every later segment's identity and, through per-flow stats,
-// into experiment artifacts. Sorting the (nearly always tiny) key set first
-// keeps the simulation bit-reproducible. See also releaseAllOOO.
+// the cumulative receive point, in ascending sequence order. The order
+// matters: the segment pool is LIFO, so release order decides the identity
+// of every segment allocated later in the run, and must not depend on
+// anything but the simulation. See also releaseAllOOO.
 func (c *Conn) releaseStaleOOO() {
-	c.oooScratch = c.oooScratch[:0]
-	for s, sg := range c.ooo {
-		if s+sg.SeqLen() <= c.rcvNxt {
-			c.oooScratch = append(c.oooScratch, s)
+	k := 0
+	for _, sg := range c.ooo {
+		if sg.Seq+sg.SeqLen() <= c.rcvNxt {
+			c.stack.release(sg)
+		} else {
+			c.ooo[k] = sg
+			k++
 		}
 	}
-	if len(c.oooScratch) == 0 {
-		return
-	}
-	sortSeqs(c.oooScratch)
-	for _, s := range c.oooScratch {
-		sg := c.ooo[s]
-		delete(c.ooo, s)
-		c.stack.release(sg)
-	}
+	clear(c.ooo[k:])
+	c.ooo = c.ooo[:k]
 }
 
 // releaseAllOOO empties the reassembly buffer in ascending sequence order
 // (teardown path); see releaseStaleOOO for why the order matters.
 func (c *Conn) releaseAllOOO() {
-	if len(c.ooo) == 0 {
-		return
-	}
-	c.oooScratch = c.oooScratch[:0]
-	for s := range c.ooo {
-		c.oooScratch = append(c.oooScratch, s)
-	}
-	sortSeqs(c.oooScratch)
-	for _, s := range c.oooScratch {
-		c.stack.release(c.ooo[s])
+	for _, sg := range c.ooo {
+		c.stack.release(sg)
 	}
 	clear(c.ooo)
-}
-
-// sortSeqs insertion-sorts a small slice of sequence numbers in place. The
-// reassembly buffer rarely holds more than a window's worth of segments, so
-// insertion sort beats sort.Slice here and — unlike sort.Slice — allocates
-// nothing (no closure, no interface conversion).
-func sortSeqs(a []uint64) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
-	}
+	c.ooo = c.ooo[:0]
 }
 
 // absorb consumes an in-sequence (possibly partially duplicate) segment,

@@ -169,8 +169,8 @@ func (c *Conn) reset(s *Stack, local, remote nsim.AddrPort, server bool) {
 
 	c.rcvNxt = 0
 	c.ceEcho = false
-	// ooo was emptied (in deterministic order) by teardown; the map and the
-	// sackList/oooScratch backing arrays are the reuse payoff.
+	// ooo was emptied (in deterministic order) by teardown; its backing
+	// array and sackList's are the reuse payoff.
 	c.sackList = c.sackList[:0]
 	c.peerFin = false
 	c.peerFinSeq = 0

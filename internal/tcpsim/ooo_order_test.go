@@ -1,14 +1,15 @@
 package tcpsim
 
 import (
-	"repro/internal/sim"
-
+	"slices"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // stuffOOO fills a connection's reassembly buffer with pooled one-byte
-// segments at the given sequence numbers (inserted in the order given, which
-// is irrelevant: the map does not preserve it).
+// segments at the given sequence numbers, inserted in the order given; the
+// buffer keeps them sorted by sequence number.
 func stuffOOO(c *Conn, seqs []uint64) map[uint64]*Segment {
 	bySeq := make(map[uint64]*Segment, len(seqs))
 	for _, seq := range seqs {
@@ -16,7 +17,8 @@ func stuffOOO(c *Conn, seqs []uint64) map[uint64]*Segment {
 		sg.Flags = FlagACK
 		sg.Seq = seq
 		sg.Data = []byte{0}
-		c.ooo[seq] = sg
+		i, _ := c.oooFind(seq)
+		c.ooo = slices.Insert(c.ooo, i, sg)
 		bySeq[seq] = sg
 	}
 	return bySeq
@@ -30,13 +32,11 @@ func freeTail(p *SegmentPool, n int) []*Segment {
 
 // TestOOOReleaseOrderDeterministic is the regression test for the
 // map-iteration-order bug the sharded engine exposed: releaseStaleOOO and
-// releaseAllOOO used to release reassembly-buffer segments while ranging
-// over the ooo map, so the LIFO segment pool's free-list order — and with
-// it the identity of every segment allocated later in the run — depended on
-// Go's per-range map iteration randomization. Both paths must now release
-// in ascending sequence order regardless of insertion order or iteration
-// luck; the repeated iterations give map randomization many chances to
-// expose a regression.
+// releaseAllOOO once released reassembly-buffer segments while ranging over
+// a map, so the LIFO segment pool's free-list order — and with it the
+// identity of every segment allocated later in the run — depended on Go's
+// per-range map iteration randomization. Both paths must release in
+// ascending sequence order regardless of insertion order.
 func TestOOOReleaseOrderDeterministic(t *testing.T) {
 	seqs := []uint64{900, 100, 500, 300, 700, 200, 800, 400, 600, 1000}
 	sorted := []uint64{100, 200, 300, 400, 500, 600, 700, 800, 900, 1000}
@@ -91,7 +91,7 @@ func TestReleaseStaleOOOKeepsLiveSegments(t *testing.T) {
 	if len(conn.ooo) != 1 {
 		t.Fatalf("ooo holds %d segments, want 1", len(conn.ooo))
 	}
-	if sg, ok := conn.ooo[30]; !ok || sg.Seq != 30 {
+	if i, ok := conn.oooFind(30); !ok || conn.ooo[i].Seq != 30 {
 		t.Fatal("live segment at seq 30 was swept")
 	}
 	conn.releaseAllOOO() // leave the pool balanced

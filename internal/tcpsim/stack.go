@@ -17,17 +17,18 @@ type fourTuple struct {
 // datagrams to connections and listeners. One namespace has at most one
 // Stack.
 type Stack struct {
-	ns        *nsim.Namespace
-	loop      *sim.Loop
-	cc        CongestionAlgorithm
-	ecn       bool
-	// conns finds a connection by four-tuple: SYNs, segments sent before
-	// the handshake taught the peer this side's index, and stale
-	// segments. Established traffic goes through tab instead: connection
-	// c sits at tab[c.id-1], and its peer stamps c.id into every segment's
-	// DstConn (see Segment.SrcConn), so demux is an index plus a
-	// four-tuple check that proves the hit is the connection the map would
-	// have returned.
+	ns   *nsim.Namespace
+	loop *sim.Loop
+	cc   CongestionAlgorithm
+	ecn  bool
+	// conns finds an accepted connection by four-tuple: SYNs, segments
+	// sent before the handshake taught the peer this side's index, and
+	// stale segments. (A dialed connection owns its ephemeral socket,
+	// whose handler is the connection itself.) Established traffic goes
+	// through tab instead: connection c sits at tab[c.id-1], and its peer
+	// stamps c.id into every segment's DstConn (see Segment.SrcConn), so
+	// demux is an index plus a four-tuple check that proves the hit is the
+	// connection a four-tuple lookup would have found.
 	conns     map[fourTuple]*Conn
 	tab       []*Conn
 	tabFree   []uint32
@@ -55,11 +56,6 @@ type Stack struct {
 	// 0 keeps the default. Raised when the workload must survive scripted
 	// outages longer than the default cap's backoff ladder.
 	rtoRetryCap int
-	// recvFn is the receive method bound once at construction, so Dial can
-	// hand the same handler to every ephemeral bind instead of allocating a
-	// per-dial closure (the many-flow workloads dial thousands of times per
-	// cell).
-	recvFn func(*nsim.Datagram)
 }
 
 // SegmentPool is a free list of recycled Segments. Like nsim.PoolSet it
@@ -228,7 +224,6 @@ func NewStackPool(ns *nsim.Namespace, segs *SegmentPool) *Stack {
 		boundPort: make(map[uint16]bool),
 		segs:      segs,
 	}
-	s.recvFn = s.receive
 	ns.SetRxBatchHooks(s.beginRxBatch, s.endRxBatch)
 	ns.SetDemux(s.demux)
 	// Close the drop-release chain: a datagram dropped anywhere in the
@@ -290,15 +285,16 @@ func (s *Stack) Listen(ap nsim.AddrPort, accept func(*Conn)) error {
 // raddr. The returned Conn is in SYN-SENT state; OnEstablished fires when
 // the handshake completes. Data written before establishment is buffered.
 func (s *Stack) Dial(laddr nsim.Addr, raddr nsim.AddrPort) (*Conn, error) {
-	// The ephemeral bind shares the stack's demux handler: the conn is in
-	// s.conns before any segment can arrive (no events run in between), so
-	// receive finds it by four-tuple exactly as a listener-side conn, and
-	// the dial path allocates no per-connection closure.
-	lap, err := s.ns.BindEphemeral(laddr, s.recvFn)
+	// The connection's own handler serves its ephemeral socket, bound once
+	// per Conn object, so a pooled connection dials allocation-free.
+	c := newConn(s, nsim.AddrPort{Addr: laddr}, raddr, false)
+	lap, err := s.ns.BindEphemeral(laddr, c.recvFn)
 	if err != nil {
+		c.state = StateClosed
+		s.Recycle(c)
 		return nil, err
 	}
-	c := newConn(s, lap, raddr, false)
+	c.local = lap
 	s.register(c)
 	c.sendSYN()
 	return c, nil
@@ -310,10 +306,12 @@ func (s *Stack) Dial(laddr nsim.Addr, raddr nsim.AddrPort) (*Conn, error) {
 // to arbitrary origin addresses.
 func (s *Stack) DeliverIntercepted(dg *nsim.Datagram) { s.receive(dg) }
 
-// register enters a new connection into the four-tuple map and the
-// index table.
+// register enters a new connection into the index table and, when it was
+// accepted, the four-tuple map.
 func (s *Stack) register(c *Conn) {
-	s.conns[fourTuple{c.local, c.remote}] = c
+	if c.server {
+		s.conns[fourTuple{c.local, c.remote}] = c
+	}
 	if n := len(s.tabFree); n > 0 {
 		c.id = s.tabFree[n-1]
 		s.tabFree = s.tabFree[:n-1]
@@ -373,9 +371,9 @@ func (s *Stack) deliver(c *Conn, dg *nsim.Datagram, seg *Segment) {
 	s.release(seg)
 }
 
-// receive demuxes an inbound datagram on a listening port or an
-// ephemeral socket. Every exit path releases the wire copy's segment
-// reference.
+// receive demuxes an inbound datagram on a listening port, or one a dialed
+// connection's socket handed on (see Conn.receive). Every exit path
+// releases the wire copy's segment reference.
 func (s *Stack) receive(dg *nsim.Datagram) {
 	seg, ok := dg.Payload.(*Segment)
 	if !ok {
@@ -418,11 +416,12 @@ func (s *Stack) lookupListener(ap nsim.AddrPort) func(*Conn) {
 // drop removes a closed connection from the table and releases its
 // ephemeral port.
 func (s *Stack) drop(c *Conn) {
-	delete(s.conns, fourTuple{c.local, c.remote})
 	s.tab[c.id-1] = nil
 	s.tabFree = append(s.tabFree, c.id)
 	c.id, c.peerID = 0, 0
-	if !c.server {
+	if c.server {
+		delete(s.conns, fourTuple{c.local, c.remote})
+	} else {
 		s.ns.Unbind(c.local)
 	}
 }
@@ -449,4 +448,4 @@ func (s *Stack) send(c *Conn, seg *Segment) error {
 }
 
 // Conns reports the number of live connections.
-func (s *Stack) Conns() int { return len(s.conns) }
+func (s *Stack) Conns() int { return len(s.tab) - len(s.tabFree) }
