@@ -149,6 +149,29 @@ func TestContentionAllocsScaleWithTransfersNotPackets(t *testing.T) {
 	}
 }
 
+// TestContentionAllocsFlatAcrossRuns pins what makes the allocation gate
+// independent of b.N: after one warm-up run, every run of the same cell on
+// the same shard allocates the same amount. Pools deal capacity-carrying
+// objects deterministically, so nothing keeps growing run after run (it
+// used to fall by a third between the first and the fifth run).
+func TestContentionAllocsFlatAcrossRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("race-detector bookkeeping allocates per sync operation")
+	}
+	spec := smallSpec(11)
+	spec.Flows = 400
+	sh := NewShard()
+	RunContention(sh, spec) // warm pools
+	first := testing.AllocsPerRun(1, func() { RunContention(sh, spec) })
+	later := testing.AllocsPerRun(4, func() { RunContention(sh, spec) })
+	if later < first*0.99 || later > first*1.01 {
+		t.Fatalf("allocs per run drift after warm-up: first %.0f, next four %.0f on average", first, later)
+	}
+}
+
 func TestMixParseAndCounts(t *testing.T) {
 	m, err := ParseMix("6:1:3")
 	if err != nil {

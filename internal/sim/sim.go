@@ -406,10 +406,14 @@ func (l *Loop) wheelUnlink(idx int32) {
 	l.wheelCount--
 }
 
-// wheelSeek cascades the wheel until its earliest event sits in a level-0
-// slot and returns that slot, or -1 when the wheel holds nothing at or
-// before limit. cur only moves to the start of a slot that holds an event
-// at or before limit, so it never passes an event, and never passes the
+// wheelSeek returns the wheel slot whose head is the wheel's earliest
+// event, or -1 when the wheel holds nothing at or before limit. That is
+// the first occupied level-0 slot at or after cur if there is one;
+// otherwise the first occupied slot above cur on the lowest occupied level
+// holds the earliest events, and unless it holds just one (which is then
+// the earliest, and fires without refiling) it is cascaded and the search
+// repeats. cur only moves to the start of a slot that holds an event at
+// or before limit, so it never passes an event, and never passes the
 // clock's next value.
 func (l *Loop) wheelSeek(limit Time) int {
 	for l.wheelCount > 0 {
@@ -421,22 +425,30 @@ func (l *Loop) wheelSeek(limit Time) int {
 			}
 			return int(d)
 		}
-		k := 1
-		for ; k < wheelLevels; k++ {
+		for k := 1; ; k++ {
+			if k == wheelLevels {
+				panic("sim: timing wheel lost its events")
+			}
 			shift := uint(k * wheelBits)
 			d := cur >> shift & wheelMask
-			if m := l.occ[k] >> d >> 1; m != 0 {
-				d += 1 + uint64(bits.TrailingZeros64(m))
-				start := cur>>(shift+wheelBits)<<(shift+wheelBits) | d<<shift
-				if Time(start) > limit {
+			m := l.occ[k] >> d >> 1
+			if m == 0 {
+				continue
+			}
+			d += 1 + uint64(bits.TrailingZeros64(m))
+			li := k*wheelSlots + int(d)
+			if h := l.head[li]; h == l.tail[li] {
+				if l.slots[h].at > limit {
 					return -1
 				}
-				l.cascade(k*wheelSlots+int(d), Time(start))
-				break
+				return li
 			}
-		}
-		if k == wheelLevels {
-			panic("sim: timing wheel lost its events")
+			start := cur>>(shift+wheelBits)<<(shift+wheelBits) | d<<shift
+			if Time(start) > limit {
+				return -1
+			}
+			l.cascade(li, Time(start))
+			break
 		}
 	}
 	return -1
@@ -458,9 +470,12 @@ func (l *Loop) cascade(li int, start Time) {
 	}
 }
 
-// wheelPop removes the head of level-0 slot d, moving cur to its time.
-func (l *Loop) wheelPop(d int) int32 {
-	idx := l.head[d]
+// wheelPop removes the head of wheel slot li, the wheel's earliest event,
+// moving cur to its time. Every other event still satisfies the filing
+// rule against the new cur: it agrees with it above its own level, where
+// cur's digits did not change.
+func (l *Loop) wheelPop(li int) int32 {
+	idx := l.head[li]
 	l.cur = l.slots[idx].at
 	l.wheelUnlink(idx)
 	return idx
@@ -488,8 +503,8 @@ func (l *Loop) next(limit Time) int32 {
 		}
 		l.freeSlot(idx)
 	}
-	if d := l.wheelSeek(limit); d >= 0 {
-		return l.wheelPop(d)
+	if li := l.wheelSeek(limit); li >= 0 {
+		return l.wheelPop(li)
 	}
 	return -1
 }

@@ -127,33 +127,6 @@ func TestCancelDuringRun(t *testing.T) {
 	}
 }
 
-// TestCancelNowQueued stops and rearms a timer whose firing is due at the
-// current instant (held in the now-queue, which cancels lazily).
-func TestCancelNowQueued(t *testing.T) {
-	l := NewLoop()
-	fired := 0
-	tm := l.NewTimer(func(Time) { fired++ })
-	l.Schedule(Millisecond, func(Time) {
-		tm.Reset(0)
-		tm.Stop()
-	})
-	l.Run()
-	if fired != 0 {
-		t.Fatal("now-queued timer stopped before its turn still fired")
-	}
-	l.Schedule(Millisecond, func(Time) {
-		tm.Reset(0)
-		tm.Reset(0) // supersedes the first now-queued firing
-	})
-	l.Run()
-	if fired != 1 {
-		t.Fatalf("rearmed now-queued timer fired %d times, want 1", fired)
-	}
-	if l.Pending() != 0 {
-		t.Fatalf("Pending = %d after drain", l.Pending())
-	}
-}
-
 func TestNestedScheduling(t *testing.T) {
 	l := NewLoop()
 	depth := 0
@@ -557,37 +530,6 @@ func TestCancelAfterFireIsInert(t *testing.T) {
 	l.Run()
 	if !fired {
 		t.Fatal("stale Stop killed an unrelated event")
-	}
-}
-
-// TestResetKeepsOrderAcrossReuse drives one loop through Reset and checks
-// that timers issued before it are inert and the wheel starts empty at
-// time zero.
-func TestResetKeepsOrderAcrossReuse(t *testing.T) {
-	l := NewLoop()
-	stale := false
-	tm := l.NewTimer(func(Time) { stale = true })
-	tm.Reset(3 * Second)
-	l.Schedule(5*Second, func(Time) { stale = true })
-	l.RunUntil(Second)
-	l.Reset()
-	if l.Now() != 0 || l.Pending() != 0 {
-		t.Fatalf("after Reset: Now = %v, Pending = %d", l.Now(), l.Pending())
-	}
-	tm.Stop() // stale handle: inert
-	var order []Time
-	for _, d := range []Time{2 * Millisecond, Microsecond, 2 * Millisecond, 70 * Second} {
-		l.Schedule(d, func(now Time) { order = append(order, now) })
-	}
-	l.Run()
-	want := []Time{Microsecond, 2 * Millisecond, 2 * Millisecond, 70 * Second}
-	if stale || len(order) != len(want) {
-		t.Fatalf("stale fired = %v, order = %v", stale, order)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
 	}
 }
 

@@ -5,18 +5,19 @@ import "repro/internal/nsim"
 // ConnPool is a free list of recycled Conns. A fresh connection is the last
 // per-flow allocation spike on the many-flow hot path: segments and
 // datagrams already recycle through their pools, but every Dial/accept used
-// to allocate a Conn, its reassembly map, and its retransmit queue. Workload
-// drivers that open thousands of short connections (the contention engine's
-// web and RPC classes) instead hand each closed connection back via
-// Stack.Recycle, and newConn reuses it — map, queues, scratch buffers and
-// all — so steady-state connection churn allocates nothing.
+// to allocate a Conn, its reassembly buffer, and its retransmit queue.
+// Workload drivers that open thousands of short connections (the contention
+// engine's web and RPC classes) instead hand each closed connection back
+// via Stack.Recycle, and newConn reuses it — queues, buffers and all — so
+// steady-state connection churn allocates nothing.
 //
 // Like SegmentPool and nsim.PoolSet, a ConnPool is single-goroutine: it may
 // be threaded through many sequential simulations and shared by stacks on
 // the same loop, but must never be shared across concurrently running loops.
 type ConnPool struct {
-	// free is a min-heap on Conn.serial: a Dial or accept always reuses
-	// the oldest parked connection. In a deterministic workload that makes
+	// free is a min-heap on Conn.serial, kept beside each entry so sifting
+	// reads only this array: a Dial or accept always reuses the oldest
+	// parked connection. In a deterministic workload that makes
 	// every run hand the same connection to the same flow — the first run
 	// allocates connections in serial order, and later runs find exactly
 	// the free set the first run had, plus connections it had yet to make,
@@ -25,12 +26,18 @@ type ConnPool struct {
 	// pool allocates nothing however many runs follow. (A LIFO list would
 	// deal connections to different flows each run, and their capacities
 	// would keep ratcheting up over many runs.)
-	free []*Conn
+	free []parkedConn
 	made uint32 // serials handed out
 	// gets counts every newConn on a pooled stack (whether served from the
 	// free list or freshly allocated); puts counts every Recycle. The
 	// difference is the number of pool-managed connections currently live.
 	gets, puts uint64
+}
+
+// parkedConn is one entry of a ConnPool's free heap.
+type parkedConn struct {
+	serial uint32
+	c      *Conn
 }
 
 // NewConnPool returns an empty connection free list.
@@ -60,9 +67,9 @@ func (s *Stack) takePooledConn() *Conn {
 	if n < 0 {
 		return nil
 	}
-	c := p.free[0]
+	c := p.free[0].c
 	p.free[0] = p.free[n]
-	p.free[n] = nil
+	p.free[n] = parkedConn{}
 	p.free = p.free[:n]
 	// Sift the moved tail entry down to restore heap order.
 	h, i := p.free, 0
@@ -85,7 +92,7 @@ func (s *Stack) takePooledConn() *Conn {
 
 // park pushes a recycled connection onto the free heap.
 func (p *ConnPool) park(c *Conn) {
-	p.free = append(p.free, c)
+	p.free = append(p.free, parkedConn{c.serial, c})
 	h, i := p.free, len(p.free)-1
 	for i > 0 {
 		parent := (i - 1) / 2

@@ -372,18 +372,15 @@ func (s *Stack) deliver(c *Conn, dg *nsim.Datagram, seg *Segment) {
 }
 
 // receive demuxes an inbound datagram on a listening port, or one a dialed
-// connection's socket handed on (see Conn.receive). Every exit path
-// releases the wire copy's segment reference.
+// connection's socket handed on (see Conn.receive), after the namespace's
+// demux found no connection by index. Every exit path releases the wire
+// copy's segment reference.
 func (s *Stack) receive(dg *nsim.Datagram) {
 	seg, ok := dg.Payload.(*Segment)
 	if !ok {
 		return
 	}
-	c := s.byIndex(dg, seg)
-	if c == nil {
-		c = s.conns[fourTuple{local: dg.Dst, remote: dg.Src}]
-	}
-	if c != nil {
+	if c := s.conns[fourTuple{local: dg.Dst, remote: dg.Src}]; c != nil {
 		s.deliver(c, dg, seg)
 		return
 	}
@@ -397,7 +394,7 @@ func (s *Stack) receive(dg *nsim.Datagram) {
 		s.release(seg)
 		return // port bound but no listener for this address: drop (RST-less)
 	}
-	c = newConn(s, dg.Dst, dg.Src, true)
+	c := newConn(s, dg.Dst, dg.Src, true)
 	c.acceptFn = accept
 	s.register(c)
 	s.deliver(c, dg, seg)
