@@ -3,6 +3,7 @@ package nsim
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/netem"
 	"repro/internal/sim"
@@ -223,12 +224,19 @@ type route struct {
 // Namespace is an isolated network stack: a private set of owned addresses,
 // a socket table, attached link endpoints and a routing table.
 type Namespace struct {
-	name    string
-	net     *Network
-	locals  map[Addr]bool
+	name string
+	net  *Network
+	// locals are the owned addresses, sorted: most namespaces own one, and
+	// a binary search is cheaper than hashing on the per-datagram paths.
+	locals  []Addr
 	links   []*LinkEnd
 	routes  []route
 	sockets map[AddrPort]DatagramHandler
+	// eph holds the sockets BindEphemeral creates, indexed by port minus
+	// ephemeralBase, so a connection's bind, delivery and unbind index a
+	// slice instead of hashing. A port another local address already holds
+	// here binds in sockets instead.
+	eph []ephSocket
 	// wildcards handles binds to port on the zero address (any local addr).
 	wildcards map[uint16]DatagramHandler
 	// intercept, when set, sees every datagram that arrives for a
@@ -257,6 +265,17 @@ type Namespace struct {
 	rxBatchEnd   func()
 }
 
+// ephemeralBase is the first port BindEphemeral hands out; the range runs
+// to 65535 and wraps.
+const ephemeralBase = 49152
+
+// ephSocket is one slot of a namespace's ephemeral-port table; h is nil
+// when the port is free.
+type ephSocket struct {
+	addr Addr
+	h    DatagramHandler
+}
+
 // NamespaceStats counts traffic seen by a namespace.
 type NamespaceStats struct {
 	DeliveredLocal uint64 // datagrams delivered to a local socket
@@ -275,10 +294,9 @@ func (n *Network) NewNamespace(name string) *Namespace {
 	ns := &Namespace{
 		name:      name,
 		net:       n,
-		locals:    make(map[Addr]bool),
 		sockets:   make(map[AddrPort]DatagramHandler),
 		wildcards: make(map[uint16]DatagramHandler),
-		nextPort:  49152,
+		nextPort:  ephemeralBase,
 	}
 	ns.recvArg = func(_ sim.Time, a any) { ns.receive(a.(*Datagram)) }
 	ns.deliverArg = func(_ sim.Time, a any) { ns.deliverLocal(a.(*Datagram)) }
@@ -325,11 +343,16 @@ func (ns *Namespace) Stats() NamespaceStats { return ns.stats }
 // own every server IP seen during recording ("creates a separate virtual
 // interface for each distinct server IP", paper §2).
 func (ns *Namespace) AddAddress(a Addr) {
-	ns.locals[a] = true
+	if i, ok := slices.BinarySearch(ns.locals, a); !ok {
+		ns.locals = slices.Insert(ns.locals, i, a)
+	}
 }
 
 // OwnsAddress reports whether the namespace owns the address.
-func (ns *Namespace) OwnsAddress(a Addr) bool { return ns.locals[a] }
+func (ns *Namespace) OwnsAddress(a Addr) bool {
+	_, ok := slices.BinarySearch(ns.locals, a)
+	return ok
+}
 
 // Addresses returns the number of addresses the namespace owns.
 func (ns *Namespace) Addresses() int { return len(ns.locals) }
@@ -355,8 +378,11 @@ func (ns *Namespace) Bind(ap AddrPort, h DatagramHandler) error {
 		ns.wildcards[ap.Port] = h
 		return nil
 	}
-	if !ns.locals[ap.Addr] {
+	if !ns.OwnsAddress(ap.Addr) {
 		return fmt.Errorf("%w: %s", ErrNotLocal, ap.Addr)
+	}
+	if ns.ephSlot(ap) != nil {
+		return fmt.Errorf("%w: %s", ErrPortInUse, ap)
 	}
 	if _, ok := ns.sockets[ap]; ok {
 		return fmt.Errorf("%w: %s", ErrPortInUse, ap)
@@ -365,10 +391,24 @@ func (ns *Namespace) Bind(ap AddrPort, h DatagramHandler) error {
 	return nil
 }
 
+// ephSlot returns the ephemeral-table slot holding ap, or nil.
+func (ns *Namespace) ephSlot(ap AddrPort) *ephSocket {
+	if i := int(ap.Port) - ephemeralBase; i >= 0 && i < len(ns.eph) {
+		if e := &ns.eph[i]; e.h != nil && e.addr == ap.Addr {
+			return e
+		}
+	}
+	return nil
+}
+
 // Unbind removes a socket binding.
 func (ns *Namespace) Unbind(ap AddrPort) {
 	if ap.Addr == 0 {
 		delete(ns.wildcards, ap.Port)
+		return
+	}
+	if e := ns.ephSlot(ap); e != nil {
+		*e = ephSocket{}
 		return
 	}
 	delete(ns.sockets, ap)
@@ -380,20 +420,32 @@ func (ns *Namespace) BindEphemeral(a Addr, h DatagramHandler) (AddrPort, error) 
 	if h == nil {
 		return AddrPort{}, errors.New("nsim: Bind with nil handler")
 	}
-	if !ns.locals[a] {
+	if !ns.OwnsAddress(a) {
 		return AddrPort{}, fmt.Errorf("%w: %s", ErrNotLocal, a)
 	}
 	for tries := 0; tries < 1<<16; tries++ {
 		port := ns.nextPort
 		ns.nextPort++
 		if ns.nextPort == 0 {
-			ns.nextPort = 49152
+			ns.nextPort = ephemeralBase
 		}
 		ap := AddrPort{Addr: a, Port: port}
-		if _, ok := ns.sockets[ap]; !ok {
-			ns.sockets[ap] = h
+		if ns.ephSlot(ap) != nil {
+			continue
+		}
+		if _, ok := ns.sockets[ap]; ok {
+			continue
+		}
+		i := int(port) - ephemeralBase
+		if i >= len(ns.eph) {
+			ns.eph = append(ns.eph, make([]ephSocket, i+1-len(ns.eph))...)
+		}
+		if ns.eph[i].h != nil {
+			ns.sockets[ap] = h // the slot serves another local address
 			return ap, nil
 		}
+		ns.eph[i] = ephSocket{addr: a, h: h}
+		return ap, nil
 	}
 	return AddrPort{}, errors.New("nsim: ephemeral ports exhausted")
 }
@@ -434,7 +486,7 @@ func (ns *Namespace) Send(dg *Datagram) error {
 	if dg.TTL == 0 {
 		dg.TTL = DefaultTTL
 	}
-	if ns.locals[dg.Dst.Addr] {
+	if ns.OwnsAddress(dg.Dst.Addr) {
 		ns.net.loop.ScheduleArg(0, ns.deliverArg, dg)
 		return nil
 	}
@@ -483,7 +535,7 @@ func (ns *Namespace) receive(dg *Datagram) {
 	if ns.claim(dg) {
 		return
 	}
-	if ns.locals[dg.Dst.Addr] {
+	if ns.OwnsAddress(dg.Dst.Addr) {
 		ns.deliverSocket(dg)
 		return
 	}
@@ -521,7 +573,10 @@ func (ns *Namespace) deliverLocal(dg *Datagram) {
 // deliverSocket hands a locally addressed datagram to the socket bound to
 // its destination, or to the port's wildcard socket.
 func (ns *Namespace) deliverSocket(dg *Datagram) {
-	if h, ok := ns.sockets[dg.Dst]; ok {
+	if e := ns.ephSlot(dg.Dst); e != nil {
+		ns.stats.DeliveredLocal++
+		e.h(dg)
+	} else if h, ok := ns.sockets[dg.Dst]; ok {
 		ns.stats.DeliveredLocal++
 		h(dg)
 	} else if h, ok := ns.wildcards[dg.Dst.Port]; ok {

@@ -235,6 +235,60 @@ func TestBindEphemeralUnique(t *testing.T) {
 	}
 }
 
+// TestBindEphemeralSharedPortAcrossAddresses covers the ephemeral-port
+// table's fallback: a port that one local address holds in the table can
+// still be bound ephemerally on another address (it goes to the socket
+// map), explicit binds conflict with both, and delivery and Unbind find
+// each socket wherever it lives.
+func TestBindEphemeralSharedPortAcrossAddresses(t *testing.T) {
+	loop := sim.NewLoop()
+	ns := NewNetwork(loop).NewNamespace("multi")
+	a, b := ParseAddr("10.0.0.1"), ParseAddr("10.0.0.2")
+	ns.AddAddress(a)
+	ns.AddAddress(b)
+	got := map[string]int{}
+	handler := func(name string) DatagramHandler { return func(*Datagram) { got[name]++ } }
+	if err := ns.Bind(AddrPort{a, ephemeralBase + 1}, handler("a-explicit")); err != nil {
+		t.Fatal(err)
+	}
+	apA, err := ns.BindEphemeral(a, handler("a-eph"))
+	if err != nil || apA.Port != ephemeralBase {
+		t.Fatalf("first ephemeral bind = %v, %v", apA, err)
+	}
+	if ap, _ := ns.BindEphemeral(a, handler("a-eph2")); ap.Port != ephemeralBase+2 {
+		t.Fatalf("ephemeral bind took %v, want to skip the explicit port", ap)
+	}
+	ns.nextPort = ephemeralBase // wrap around
+	apB, err := ns.BindEphemeral(b, handler("b-eph"))
+	if err != nil || apB.Port != ephemeralBase {
+		t.Fatalf("ephemeral bind on the second address = %v, %v", apB, err)
+	}
+	for _, ap := range []AddrPort{apA, apB, {a, ephemeralBase + 1}} {
+		if err := ns.Bind(ap, handler("dup")); !errors.Is(err, ErrPortInUse) {
+			t.Fatalf("Bind(%v) over a bound socket: %v", ap, err)
+		}
+	}
+	send := func(dst AddrPort) {
+		if err := ns.Send(&Datagram{Src: AddrPort{a, 9}, Dst: dst, Size: 1}); err != nil {
+			t.Fatal(err)
+		}
+		loop.Run()
+	}
+	send(apA)
+	send(apB)
+	send(AddrPort{a, ephemeralBase + 1})
+	ns.Unbind(apA)
+	send(apA)
+	send(apB)
+	want := map[string]int{"a-eph": 1, "b-eph": 2, "a-explicit": 1}
+	if len(got) != len(want) || got["a-eph"] != 1 || got["b-eph"] != 2 || got["a-explicit"] != 1 {
+		t.Fatalf("deliveries %v, want %v", got, want)
+	}
+	if ns.Stats().NoSocket != 1 {
+		t.Fatalf("NoSocket = %d, want 1 (the unbound ephemeral port)", ns.Stats().NoSocket)
+	}
+}
+
 func TestBindEphemeralForeignAddr(t *testing.T) {
 	_, _, a, _, _, _ := newPair(t)
 	if _, err := a.BindEphemeral(ParseAddr("1.1.1.1"), func(*Datagram) {}); !errors.Is(err, ErrNotLocal) {
