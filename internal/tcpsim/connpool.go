@@ -21,7 +21,7 @@ type ConnPool struct {
 	// every run hand the same connection to the same flow — the first run
 	// allocates connections in serial order, and later runs find exactly
 	// the free set the first run had, plus connections it had yet to make,
-	// which all sort above it — so the queue, map and scratch capacities
+	// which all sort above it — so the queue and buffer capacities
 	// each connection grew once fit it in every later run, and a warmed
 	// pool allocates nothing however many runs follow. (A LIFO list would
 	// deal connections to different flows each run, and their capacities
